@@ -95,14 +95,17 @@ class ServingConfig:
     ``ingest_poll_interval_s`` is the scanner cadence (inotify, when
     available, only wakes it early), ``ingest_stable_polls`` how many
     consecutive unchanged ``(size, mtime)`` observations a file needs
-    before it is read (half-written files wait), ``ingest_max_in_flight``
-    the backpressure bound on files submitted but not yet verdicted,
-    ``ingest_max_failures`` the decode/score attempts before a poison
-    file is quarantined, ``ingest_commit_lines`` /
-    ``ingest_commit_interval_s`` the sink-flush + ledger-fsync commit
-    cadence (whichever comes first), and ``ingest_suffixes`` the file
-    extensions the scanner picks up.  Like the transport knobs, none of
-    these can change a verdict — only when and how it is produced.
+    before it is read — spanning at least ``ingest_stable_polls - 1``
+    poll intervals however often the scanner wakes, so half-written
+    files wait — ``ingest_max_in_flight`` the backpressure bound on
+    files submitted but not yet verdicted, ``ingest_max_failures`` the
+    decode/score attempts before a poison file is quarantined,
+    ``ingest_commit_lines`` the most verdicts one sink-flush +
+    ledger-fsync commit takes (the writer commits whatever has settled
+    as soon as it is idle, so this caps the work that is not yet durable
+    under sustained load), and ``ingest_suffixes`` the file extensions
+    the scanner picks up.  Like the transport knobs, none of these can
+    change a verdict — only when and how it is produced.
 
     The ``fleet_*`` knobs configure the cross-host router
     (:mod:`repro.serving.fleet`, the CLI's ``--fleet``):
@@ -144,7 +147,6 @@ class ServingConfig:
     ingest_max_in_flight: int = 16
     ingest_max_failures: int = 3
     ingest_commit_lines: int = 32
-    ingest_commit_interval_s: float = 1.0
     ingest_suffixes: tuple[str, ...] = (".npy",)
     fleet_retry_limit: int = 2
     fleet_eject_failures: int = 2
@@ -255,11 +257,6 @@ class ServingConfig:
             raise ValueError(
                 f"ingest_commit_lines must be >= 1, "
                 f"got {self.ingest_commit_lines}"
-            )
-        if self.ingest_commit_interval_s <= 0:
-            raise ValueError(
-                "ingest_commit_interval_s must be > 0, "
-                f"got {self.ingest_commit_interval_s}"
             )
         self.ingest_suffixes = tuple(self.ingest_suffixes)
         if not self.ingest_suffixes or not all(

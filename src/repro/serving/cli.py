@@ -48,7 +48,8 @@ Exit codes (supervisor contract): ``0`` success/clean drain, ``1`` a
 request or transport failure with a live pool, ``2`` usage errors (bad
 flag values, unreadable profile, fleet admission mismatch), ``3`` the
 pool itself failed (startup failure or respawn budget exhausted —
-restart the daemon) or no fleet member was reachable.
+restart the daemon), an ingest commit failed (a full or failing disk
+under a sink or the ledger), or no fleet member was reachable.
 
 Examples::
 
@@ -370,8 +371,8 @@ def _run_watch(pool: ServingPool, controller, out) -> int:
     ``--once`` waits for the backlog to drain and exits; otherwise the
     loop runs until SIGINT.  Either way the controller is stopped with a
     full drain + flush, so every verdict for an admitted file is durable
-    before the exit code is decided: 0 clean, 3 when the pool (and with
-    it the ingest loop) terminally failed.
+    before the exit code is decided: 0 clean, 3 when the ingest loop
+    terminally failed (a dead pool or a failed commit).
     """
     sinks = ", ".join(sink.describe() for sink in controller.sinks)
     print(f"watching {controller.watch_dir} (sinks: {sinks}, "

@@ -16,16 +16,30 @@
   HTTP fronts put on their 503s) and retries; a terminally failed pool
   fails the controller loudly instead of spinning.
 * A **writer thread** receives settled predictions (the dispatcher's
-  completion callback enqueues them; no thread is parked per request),
-  builds one verdict dict per file and writes it to every sink, then
-  records ``done`` in the ledger.  Writes are batched: sinks buffer and
-  the ledger buffers until a *commit* — every ``commit_lines`` verdicts
-  or ``commit_interval_s`` seconds — flushes all sinks and then fsyncs
-  the ledger under one lock.  That pairing is the crash contract: at any
-  kill boundary a verdict's sink lines and its ledger entry persist or
-  vanish together, so a restart re-processes exactly the unrecorded
-  files (at-least-once, idempotent by content hash — pinned by the
-  crash-restart test).
+  completion callback enqueues them; no thread is parked per request)
+  and records them by *group commit*: it takes every prediction already
+  queued (at most ``commit_lines``), writes one verdict dict per file to
+  every sink and a ``done`` entry to the ledger, then commits the group
+  once — all sinks flushed, then the ledger fsynced, under one lock.  A
+  quiet line pays one commit per verdict the moment it settles; a
+  backlog forms its own batches while the previous commit runs, and
+  ``commit_lines`` caps the work that is not yet durable.  Failure
+  entries the scan thread records are committed on the spot, so nothing
+  recorded stays uncommitted while the writer is idle, and a file leaves
+  the in-flight registry only after its commit: :meth:`IngestController.
+  wait_idle` returning means every verdict is on disk.  The
+  sink-then-ledger pairing is the crash contract: at any kill boundary a
+  verdict's sink lines and its ledger entry persist or vanish together,
+  so a restart re-processes exactly the unrecorded files (at-least-once,
+  idempotent by content hash — pinned by the crash-restart tests).
+* A **failed commit** (``ENOSPC`` or ``EIO`` from a sink flush or the
+  ledger fsync), or any other error on either thread, fails the
+  controller loudly: ``stats()["failure"]`` and ``GET /healthz`` report
+  it, :meth:`IngestController.wait_idle` returns, and the CLI exits 3.
+  A failed commit is never retried — after an ``EIO`` a second fsync
+  can report success for data the first one lost — so, as in a crash,
+  whatever it did not make durable is discarded and re-scored on
+  restart.
 * **Poison files** — undecodable, non-2-D, or repeatedly failing to
   score — are retried up to ``max_failures`` attempts (each recorded in
   the ledger), then moved to the quarantine directory and marked
@@ -82,7 +96,6 @@ class IngestController:
                  max_in_flight: int | None = None,
                  max_failures: int | None = None,
                  commit_lines: int | None = None,
-                 commit_interval_s: float | None = None,
                  suffixes: tuple[str, ...] | None = None,
                  use_inotify: bool = True,
                  once: bool = False):
@@ -99,19 +112,20 @@ class IngestController:
                              if max_failures is None else max_failures)
         self.commit_lines = (config.ingest_commit_lines
                              if commit_lines is None else commit_lines)
-        self.commit_interval_s = (config.ingest_commit_interval_s
-                                  if commit_interval_s is None
-                                  else commit_interval_s)
         self.quarantine_dir = Path(
             quarantine_dir if quarantine_dir is not None
             else self.watch_dir / ".ingest" / "quarantine"
         )
+        if stable_polls is None:
+            stable_polls = config.ingest_stable_polls
+        # The stability window lasts as long as its polls would at the
+        # configured cadence, however often inotify wakes the scanner.
         self.source = WatchSource(
             self.watch_dir,
             suffixes=(config.ingest_suffixes if suffixes is None
                       else tuple(suffixes)),
-            stable_polls=(config.ingest_stable_polls if stable_polls is None
-                          else stable_polls),
+            stable_polls=stable_polls,
+            stable_s=max(0, stable_polls - 1) * self.poll_interval_s,
             use_inotify=use_inotify,
         )
         self.ledger = CheckpointLedger(
@@ -127,15 +141,15 @@ class IngestController:
         self._pending: dict[Path, tuple[str, float]] = {}  # path -> (key, t0)
         self._counters = {
             "discovered": 0, "processed": 0, "skipped": 0,
-            "failed": 0, "quarantined": 0, "retries": 0,
+            "failed": 0, "quarantined": 0, "retries": 0, "commits": 0,
         }
         self._failure: str | None = None
-        # Set when a failed file was forgotten for retry: the scan loop
-        # must not declare idle (and, in once mode, exit) before the next
-        # poll has re-observed that file.
-        self._force_rescan = False
-        self._uncommitted = 0
-        self._last_commit = time.monotonic()
+        # Files to re-observe after a failed attempt.  The scan thread
+        # forgets them before its next poll (the source is its own), and
+        # must not declare idle (or, in once mode, exit) meanwhile.
+        self._retry: set[Path] = set()
+        self._uncommitted = 0  # ledger entries buffered since the last commit
+        self._commit_failed = False  # once set, nothing more is committed
         self._started = False
         self._stopped = False
         self._scan_thread = threading.Thread(
@@ -158,9 +172,10 @@ class IngestController:
         """Block until the backlog is fully drained (or timeout).
 
         Idle means: a poll found no new work, no file is mid-stability,
-        and every admitted file has its verdict (or failure) recorded.
-        New arrivals clear the flag again unless ``once`` stopped the
-        scanner.
+        and every admitted file has its verdict (or failure) committed —
+        on disk, not just buffered.  New arrivals clear the flag again
+        unless ``once`` stopped the scanner.  A failed controller is idle
+        too; check ``stats()["failure"]``.
         """
         return self._idle.wait(timeout)
 
@@ -168,12 +183,15 @@ class IngestController:
              timeout: float = 30.0) -> None:
         """Stop scanning and tear the loop down; idempotent.
 
-        ``drain=True`` waits (bounded by ``timeout``) for every in-flight
-        file to settle and be recorded before the final commit.
-        ``drain=False, flush=False`` is the crash hatch: abandon
-        in-flight work and *discard* uncommitted sink/ledger buffers,
-        byte-for-byte what a SIGKILL would leave on disk — the restart
-        tests drive this path.
+        ``drain=True`` waits (bounded by ``timeout``, and not at all once
+        the controller has failed) for every in-flight file to settle and
+        be committed.  ``drain=False, flush=False`` is the crash hatch:
+        abandon in-flight work and *discard* uncommitted sink/ledger
+        buffers, byte-for-byte what a SIGKILL would leave on disk — the
+        restart tests drive this path.  The final commit is skipped after
+        a failed one and, when it fails itself, recorded as the
+        controller's failure rather than raised; either way the buffers
+        are discarded the same way.
         """
         if self._stopped:
             return
@@ -185,36 +203,48 @@ class IngestController:
             deadline = time.monotonic() + timeout
             while time.monotonic() < deadline:
                 with self._lock:
-                    if not self._pending:
+                    if not self._pending or self._failure is not None:
                         break
                 time.sleep(0.02)
         self._results.put(_STOP)
         if self._started:
             self._writer_thread.join(timeout=timeout)
-        if flush:
-            self._commit()
+        durable = flush and self._commit()
         for sink in self.sinks:
             try:
-                sink.close(flush=flush)
+                sink.close(flush=durable)
             except OSError:
                 pass
-        self.ledger.close(sync=flush)
+        self.ledger.close(sync=durable)
         self.source.close()
 
     # -- scan thread ----------------------------------------------------------
 
     def _scan_loop(self) -> None:
+        try:
+            self._scan()
+        except Exception as exc:  # a dead scanner must not look alive
+            self._fail(f"scan failed: {exc!r}")
+        # A failed controller must not leave wait_idle callers hanging
+        # (the last pass may have cleared the flag _fail set).
+        if self._failure is not None:
+            self._idle.set()
+
+    def _scan(self) -> None:
         while not self._stop.is_set():
+            with self._lock:
+                retry, self._retry = self._retry, set()
+            for path in retry:
+                self.source.forget(path)
             for path in self.source.poll():
                 if self._stop.is_set():
                     break
                 self._admit(path)
             with self._lock:
-                idle = (not self._force_rescan
+                idle = (not self._retry
                         and not self.source.has_pending()
                         and not self._pending
                         and self._results.empty())
-                self._force_rescan = False
             if idle:
                 self._idle.set()
                 if self.once:
@@ -222,9 +252,6 @@ class IngestController:
             else:
                 self._idle.clear()
             self.source.wait(self.poll_interval_s)
-        # A failed controller must not leave wait_idle callers hanging.
-        if self._failure is not None:
-            self._idle.set()
 
     def _admit(self, path: Path) -> None:
         """Hash, dedupe, decode and submit one newly-stable file."""
@@ -235,9 +262,8 @@ class IngestController:
         except OSError:
             # Raced with a move/delete (or a transient read error):
             # re-observe on the next poll.
-            self.source.forget(path)
             with self._lock:
-                self._force_rescan = True
+                self._retry.add(path)
             return
         key = content_key(raw)
         with self._io_lock:
@@ -298,30 +324,44 @@ class IngestController:
     def _fail(self, message: str) -> None:
         debug(f"ingest controller failed: {message}")
         with self._lock:
-            self._failure = message
+            if self._failure is None:  # the first cause is the one to show
+                self._failure = message
         self._stop.set()
         self._idle.set()
 
     # -- writer thread --------------------------------------------------------
 
     def _writer_loop(self) -> None:
-        while True:
+        try:
+            while self._write_group():
+                pass
+        except Exception as exc:  # a dead writer must not look alive
+            self._fail(f"commit failed: {exc!r}")
+
+    def _write_group(self) -> bool:
+        """Record and commit one group; False once the stop sentinel is taken.
+
+        The group-commit rule: block for the first settled prediction,
+        then take every one already queued, up to ``commit_lines``.
+        """
+        group = [self._results.get()]
+        while group[-1] is not _STOP and len(group) < self.commit_lines:
             try:
-                item = self._results.get(timeout=self.commit_interval_s)
+                group.append(self._results.get_nowait())
             except queue.Empty:
-                self._maybe_commit(idle=True)
-                continue
-            if item is _STOP:
-                return
-            path, key, handle = item
-            try:
-                weak = handle.result(timeout=0)
-            except Exception as exc:
-                # Record before releasing the pending slot (idle-race,
-                # see the submit-validation branch in _admit).
-                self._record_failure(path, key, f"scoring failed: {exc}")
-                self._abandon(path)
-            else:
+                break
+        running = group[-1] is not _STOP
+        if not running:
+            group.pop()
+        outcomes = []  # per file: None if verdicted, else quarantined
+        with self._io_lock:
+            for path, key, handle in group:
+                try:
+                    weak = handle.result(timeout=0)
+                except Exception as exc:
+                    outcomes.append(self._record_failure_locked(
+                        path, key, f"scoring failed: {exc}"))
+                    continue
                 payload = response_payload(weak)
                 verdict = {
                     "path": str(path),
@@ -331,67 +371,99 @@ class IngestController:
                     "confidence": payload["confidence"][0],
                     "probs": payload["probs"][0],
                 }
-                with self._io_lock:
-                    for sink in self.sinks:
-                        sink.write(verdict)
-                    self.ledger.record(key, "done", path)
-                    self._uncommitted += 1
-                with self._lock:
-                    self._counters["processed"] += 1
-                    self._pending.pop(path, None)
-                self._sem.release()
-            self._maybe_commit()
-
-    def _maybe_commit(self, idle: bool = False) -> None:
-        with self._io_lock:
-            if self._uncommitted == 0:
-                return
-            overdue = (time.monotonic() - self._last_commit
-                       >= self.commit_interval_s)
-            if self._uncommitted >= self.commit_lines or overdue or idle:
-                self._commit_locked()
-
-    def _commit(self) -> None:
-        with self._io_lock:
+                for sink in self.sinks:
+                    sink.write(verdict)
+                self.ledger.record(key, "done", path)
+                self._uncommitted += 1
+                outcomes.append(None)
             self._commit_locked()
+        # Only now, with the group on disk, do its files leave the
+        # in-flight registry: idle implies durable.
+        with self._lock:
+            for (path, _, _), quarantined in zip(group, outcomes):
+                if quarantined is None:
+                    self._counters["processed"] += 1
+                else:
+                    self._count_failure_locked(path, quarantined)
+                self._pending.pop(path, None)
+        for _ in group:
+            self._sem.release()
+        return running
+
+    def _commit(self) -> bool:
+        """Commit whatever is buffered; a failure fails the controller."""
+        try:
+            with self._io_lock:
+                self._commit_locked()
+        except Exception as exc:
+            self._fail(f"commit failed: {exc!r}")
+            return False
+        return True
 
     def _commit_locked(self) -> None:
         """Flush sinks, then fsync the ledger — in that order, atomically.
 
         Caller holds ``_io_lock``.  The ordering is the at-least-once
         guarantee: a durable ledger ``done`` implies its sink lines were
-        flushed in the same commit (see ``ledger.py``).
+        flushed in the same commit (see ``ledger.py``).  Every sink line
+        is written alongside a ledger entry, so an empty ledger buffer
+        means there is nothing to commit.
         """
-        for sink in self.sinks:
-            sink.flush()
-        self.ledger.sync()
+        if self._uncommitted == 0:
+            return
+        if self._commit_failed:
+            raise OSError("not retried after a failed commit")
+        try:
+            for sink in self.sinks:
+                sink.flush()
+            self.ledger.sync()
+        except Exception:
+            self._commit_failed = True
+            raise
         self._uncommitted = 0
-        self._last_commit = time.monotonic()
+        with self._lock:
+            self._counters["commits"] += 1
 
     # -- failures / quarantine ------------------------------------------------
 
     def _record_failure(self, path: Path, key: str, message: str) -> None:
-        debug(f"ingest failure for {path.name}: {message}")
+        """Record and commit one failed attempt seen by the scan thread."""
         with self._io_lock:
-            self.ledger.record(key, "failed", path, error=message)
-            failures = self.ledger.failures(key)
-            quarantine = failures >= self.max_failures
-            if quarantine:
-                target = self._quarantine(path, key)
-                self.ledger.record(key, "quarantined", target, error=message)
-            self._uncommitted += 1
-        with self._lock:
-            self._counters["failed"] += 1
-            if quarantine:
-                self._counters["quarantined"] += 1
-        if not quarantine:
-            # Re-observe on the next poll so retries happen within this
-            # run (a transient read/score hiccup heals; a true poison
-            # file burns through its budget and lands in quarantine).
-            self.source.forget(path)
+            quarantined = self._record_failure_locked(path, key, message)
+        if self._commit():
             with self._lock:
-                self._force_rescan = True
-        self._maybe_commit()
+                self._count_failure_locked(path, quarantined)
+
+    def _record_failure_locked(self, path: Path, key: str,
+                               message: str) -> bool:
+        """Buffer a ``failed`` entry (and quarantine after ``max_failures``).
+
+        Caller holds ``_io_lock`` and commits.  Returns whether the file
+        was quarantined.
+        """
+        debug(f"ingest failure for {path.name}: {message}")
+        self.ledger.record(key, "failed", path, error=message)
+        self._uncommitted += 1
+        if self.ledger.failures(key) < self.max_failures:
+            return False
+        target = self._quarantine(path, key)
+        self.ledger.record(key, "quarantined", target, error=message)
+        self._uncommitted += 1
+        return True
+
+    def _count_failure_locked(self, path: Path, quarantined: bool) -> None:
+        """Count a committed failure; caller holds ``_lock``.
+
+        A file below the quarantine threshold is queued for re-observation
+        so retries happen within this run (a transient read/score hiccup
+        heals; a true poison file burns through its budget and lands in
+        quarantine).
+        """
+        self._counters["failed"] += 1
+        if quarantined:
+            self._counters["quarantined"] += 1
+        else:
+            self._retry.add(path)
 
     def _quarantine(self, path: Path, key: str) -> Path:
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)

@@ -20,11 +20,11 @@ Semantics (load-bearing for the crash-restart test):
   accumulate per key, and :meth:`CheckpointLedger.failures` counts them
   so the controller can quarantine a poison file after N attempts.
 * **Bounded fsync, paired with the sinks.**  :meth:`record` only
-  buffers in memory; :meth:`sync` writes the buffer out and ``fsync``\ s.
-  The controller's commit flushes the verdict sinks *first* and then
-  ``sync``\ s the ledger, holding its I/O lock across both — so at any
-  stop or crash boundary a file's sink line and its ``done`` entry are
-  persisted or discarded together, and a persisted ``done`` always
+  buffers in memory; :meth:`sync` writes the buffer out and calls
+  ``fsync``.  The controller's commit flushes the verdict sinks *first*
+  and then calls :meth:`sync`, holding its I/O lock across both — so at
+  any stop or crash boundary a file's sink line and its ``done`` entry
+  are persisted or discarded together, and a persisted ``done`` always
   implies the sink line preceding it.
 * **Corruption-tolerant replay.**  A half-written last line (the crash
   signature of an append-only log) is ignored on load instead of

@@ -7,16 +7,21 @@ optional inotify channel is only a latency accelerator:
 * **Polling scanner.**  :meth:`poll` lists the directory and applies a
   stability check: a file is reported only after its ``(size,
   mtime_ns)`` signature has been observed unchanged for
-  ``stable_polls`` consecutive polls.  A half-written file — a camera
-  mid-upload, an ``rsync`` in flight — keeps changing signature and is
-  never handed to the decoder early.  Atomic producers (write to a temp
-  name, ``rename`` in) clear the check in the minimum two polls.
+  ``stable_polls`` consecutive polls *and* for ``stable_s`` seconds
+  since it was first observed with that signature.  A half-written file
+  — a camera mid-upload, an ``rsync`` in flight — keeps changing
+  signature and is never handed to the decoder early.  Atomic producers
+  (write to a temp name, ``rename`` in) clear the check as soon as both
+  conditions hold.
 * **inotify fast path** (Linux, best-effort).  :meth:`wait` blocks on an
   inotify descriptor for the watch directory when the kernel offers one,
   so a dropped file wakes the scanner immediately instead of after a
   full poll interval.  When inotify is unavailable (non-Linux, exhausted
-  watch quota, permissions) ``wait`` degrades to a plain sleep — nothing
-  but latency changes, because every wake-up runs the same full scan.
+  watch quota, permissions) ``wait`` degrades to a plain sleep.  Either
+  way only latency changes: wake-ups caused by *other* files can add
+  polls but cannot shorten the ``stable_s`` part of the window, and
+  :meth:`wait` returns when the earliest pending file's window ends, so
+  a file is still reported on time when no event arrives.
 
 Re-discovery semantics: a reported file is remembered by signature and
 not reported again; if its content changes on disk (new signature) it
@@ -98,7 +103,8 @@ class WatchSource:
     """Stable-file discovery over one directory (see module docstring)."""
 
     def __init__(self, root, suffixes: tuple[str, ...] = (".npy",),
-                 stable_polls: int = 2, use_inotify: bool = True):
+                 stable_polls: int = 2, stable_s: float = 0.0,
+                 use_inotify: bool = True):
         self.root = Path(root)
         if not self.root.is_dir():
             raise ValueError(
@@ -107,8 +113,10 @@ class WatchSource:
             )
         self.suffixes = tuple(s.lower() for s in suffixes)
         self.stable_polls = max(1, int(stable_polls))
-        # path -> (signature, consecutive observations of that signature)
-        self._pending: dict[Path, tuple[tuple[int, int], int]] = {}
+        self.stable_s = max(0.0, float(stable_s))
+        # path -> (signature, consecutive observations of that signature,
+        #          monotonic time it was first observed)
+        self._pending: dict[Path, tuple[tuple[int, int], int, float]] = {}
         # path -> signature it was last *reported* with
         self._reported: dict[Path, tuple[int, int]] = {}
         self._inotify = _Inotify.try_create(self.root) if use_inotify else None
@@ -140,6 +148,7 @@ class WatchSource:
 
     def poll(self) -> list[Path]:
         """One scan; returns the files that just became stable, name order."""
+        now = time.monotonic()
         seen = set()
         ready: list[Path] = []
         for path in self._candidates():
@@ -151,13 +160,16 @@ class WatchSource:
             signature = (stat.st_size, stat.st_mtime_ns)
             if self._reported.get(path) == signature:
                 continue  # already handed out in this incarnation
-            prev, count = self._pending.get(path, (None, 0))
-            count = count + 1 if prev == signature else 1
-            self._pending[path] = (signature, count)
-            if count >= self.stable_polls:
-                del self._pending[path]
+            prev, count, first = self._pending.get(path, (None, 0, now))
+            if prev != signature:
+                count, first = 0, now
+            count += 1
+            if count >= self.stable_polls and now - first >= self.stable_s:
+                self._pending.pop(path, None)
                 self._reported[path] = signature
                 ready.append(path)
+            else:
+                self._pending[path] = (signature, count, first)
         # Forget files that vanished (moved to bins, deleted) so a later
         # file reusing the name is observed fresh.
         for tracked in (self._pending.keys() - seen):
@@ -181,7 +193,14 @@ class WatchSource:
         return bool(self._pending)
 
     def wait(self, timeout: float) -> None:
-        """Sleep until the next poll is due, or earlier on inotify activity."""
+        """Sleep until the next poll is due, or earlier on inotify activity.
+
+        The next poll is due after ``timeout`` seconds, or sooner when the
+        earliest pending file's ``stable_s`` window ends first.
+        """
+        if self._pending and self.stable_s > 0:
+            first = min(first for _, _, first in self._pending.values())
+            timeout = min(timeout, first + self.stable_s - time.monotonic())
         if timeout <= 0:
             return
         if self._inotify is not None:

@@ -10,7 +10,10 @@ The properties that make continuous ingestion trustworthy:
    in lockstep, so a kill at any cooperative boundary loses a verdict's
    sink lines and its ledger entry *together*: a restart against the
    same ledger re-processes exactly the unrecorded files and the merged
-   output has no duplicate and no missing verdicts.
+   output has no duplicate and no missing verdicts.  Group commit makes
+   every settled verdict durable as soon as the writer is idle, so the
+   crash tests make their lost tail deterministic with a sink whose
+   flush fails and a pool that withholds completions.
 3. **Hygiene** — half-written files are never read (stability window),
    poison files are quarantined after N attempts instead of wedging the
    loop, and the live counters surface through the same
@@ -22,18 +25,23 @@ serving lane (CI's serving-smoke job), not the fast matrix.
 
 from __future__ import annotations
 
+import errno
 import importlib.util
 import json
+import sys
 import time
 from datetime import datetime
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core.config import ServingConfig
 from repro.core.pipeline import InspectorGadget
+from repro.serving import cli
 from repro.serving.cli import main as cli_main
+from repro.serving.ingest import source as source_module
 from repro.serving.ingest import (
     CheckpointLedger,
     CsvSink,
@@ -48,9 +56,8 @@ from repro.serving.ingest import (
 from repro.serving.pool import PoolHealth, ServingPool
 from repro.serving.protocol import health_payload, retry_after_for
 
-# Fast controller knobs shared by every pool-backed test: quick polls,
-# deterministic scanning (no inotify), and a commit cadence the crash
-# tests control explicitly.
+# Fast controller knobs shared by every pool-backed test: quick polls
+# and deterministic scanning (no inotify).
 FAST = dict(poll_interval_s=0.05, stable_polls=2, use_inotify=False)
 
 
@@ -105,6 +112,43 @@ def assert_verdict_bytes(verdict: dict, expected_row: np.ndarray) -> None:
     """A JSON-round-tripped verdict must recover probs byte-identically."""
     got = np.asarray(verdict["probs"], dtype=np.float64)
     assert got.tobytes() == expected_row.tobytes()
+
+
+class FullDiskSink(JsonlSink):
+    """A JSONL sink whose ``fail_at``-th flush fails with ENOSPC before
+    writing anything: one commit hits a full disk, and a retry would
+    succeed."""
+
+    def __init__(self, path: str, fail_at: int = 1):
+        super().__init__(path)
+        self.fail_at = fail_at
+        self.flushes = 0
+
+    def flush(self) -> None:
+        self.flushes += 1
+        if self.flushes == self.fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        super().flush()
+
+
+class WithholdingPool:
+    """A pool whose completions after the first ``deliver`` submits never
+    reach the controller: those files stay in flight until the kill."""
+
+    def __init__(self, pool, deliver: int):
+        self._pool = pool
+        self._deliver = deliver
+        self._submitted = 0
+
+    def __getattr__(self, name):
+        return getattr(self._pool, name)
+
+    def submit(self, images):
+        handle = self._pool.submit(images)
+        self._submitted += 1
+        if self._submitted <= self._deliver:
+            return handle
+        return SimpleNamespace(add_done_callback=lambda fn: None)
 
 
 class TestCheckpointLedger:
@@ -267,6 +311,60 @@ class TestWatchSource:
         with pytest.raises(ValueError, match="does not exist"):
             WatchSource(tmp_path / "nope", use_inotify=False)
 
+    @pytest.fixture()
+    def clock(self, monkeypatch):
+        """The source module's clock, advanced by hand; sleeps recorded."""
+        fake = SimpleNamespace(now=100.0, slept=[])
+        monkeypatch.setattr(source_module, "time", SimpleNamespace(
+            monotonic=lambda: fake.now, sleep=fake.slept.append))
+        return fake
+
+    def test_stability_window_is_measured_in_time(self, tmp_path, clock):
+        """Wake-ups caused by other files add polls, not time: a file is
+        held until its signature has also lasted ``stable_s``."""
+        source = WatchSource(tmp_path, stable_polls=2, stable_s=0.25,
+                             use_inotify=False)
+        path = tmp_path / "frame.npy"
+        path.write_bytes(b"x" * 10)
+        for _ in range(4):                  # a burst of polls ~8 ms apart
+            assert source.poll() == []
+            clock.now += 0.0078125
+        clock.now += 0.125
+        path.write_bytes(b"x" * 20)         # still being written
+        assert source.poll() == []          # window restarts at 100.15625
+        clock.now += 0.1875
+        assert source.poll() == []          # unchanged 0.1875 s: not yet
+        clock.now += 0.0625
+        assert source.poll() == [path]      # 0.25 s and >= 2 polls
+        assert not source.has_pending()
+
+    def test_stability_window_still_needs_its_polls(self, tmp_path, clock):
+        source = WatchSource(tmp_path, stable_polls=3, stable_s=0.5,
+                             use_inotify=False)
+        path = tmp_path / "frame.npy"
+        path.write_bytes(b"x")
+        assert source.poll() == []
+        clock.now += 10.0
+        assert source.poll() == []          # old enough, but 2 of 3 polls
+        assert source.poll() == [path]
+
+    def test_wait_ends_with_the_earliest_pending_window(self, tmp_path,
+                                                       clock):
+        source = WatchSource(tmp_path, stable_polls=2, stable_s=0.25,
+                             use_inotify=False)
+        source.wait(1.0)                    # nothing pending: full interval
+        (tmp_path / "a.npy").write_bytes(b"a")
+        assert source.poll() == []          # a first seen at 100.0
+        clock.now += 0.125
+        (tmp_path / "b.npy").write_bytes(b"b")
+        assert source.poll() == []          # b first seen at 100.125
+        clock.now += 0.0625
+        source.wait(1.0)                    # a's window ends at 100.25
+        clock.now += 0.0625
+        source.wait(1.0)                    # due now: poll at once
+        assert clock.slept == [1.0, 0.0625]
+        assert source.poll() == [tmp_path / "a.npy"]
+
 
 class TestConfigAndProtocol:
     @pytest.mark.parametrize("field,value", [
@@ -275,7 +373,6 @@ class TestConfigAndProtocol:
         ("ingest_max_in_flight", 0),
         ("ingest_max_failures", 0),
         ("ingest_commit_lines", 0),
-        ("ingest_commit_interval_s", 0),
         ("ingest_suffixes", ()),
         ("ingest_suffixes", ("npy",)),
     ])
@@ -354,12 +451,55 @@ class TestEndToEnd:
             assert verdict["key"] == content_key(path.read_bytes())
             assert_verdict_bytes(verdict, expected_rows[i])
 
+    @pytest.mark.parametrize("commit_lines", [None, 1])
+    def test_idle_means_durable(self, shared_pool, images, tmp_path,
+                                commit_lines):
+        """Once wait_idle returns — before any stop() — every verdict is
+        on disk in the sink and the ledger, committed in groups.  The scan
+        thread, the writer and the dispatcher share the registry and the
+        counters, so thread switches are forced far more often than usual
+        to shake out a lost update or an early idle."""
+        watch = tmp_path / "watch"
+        watch.mkdir()
+        out = tmp_path / "verdicts.jsonl"
+        ledger_path = tmp_path / "ledger.jsonl"
+        for i, image in enumerate(images):
+            drop(watch, f"img_{i:02d}.npy", image)
+        knobs = {} if commit_lines is None else {"commit_lines": commit_lines}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        controller = start_ingest(
+            shared_pool, watch, [JsonlSink(str(out))], ledger_path,
+            **knobs, **FAST
+        )
+        try:
+            assert controller.wait_idle(timeout=60.0)
+            stats = controller.stats()
+            assert stats["processed"] == 8
+            assert len(read_jsonl(out)) == 8
+            assert [e["status"] for e in read_jsonl(ledger_path)] == \
+                ["done"] * 8
+            assert 1 <= stats["commits"] <= stats["processed"]
+            if commit_lines == 1:
+                assert stats["commits"] == stats["processed"]
+            # The window is derived from the knobs: (2 - 1) polls' worth.
+            assert controller.source.stable_s == pytest.approx(0.05)
+        finally:
+            sys.setswitchinterval(interval)
+            controller.stop()
+
     def test_crash_at_commit_boundary_then_restart(
         self, shared_pool, images, expected_rows, tmp_path
     ):
         """Satellite: a crash that loses the uncommitted tail must lose the
         sink lines and ledger entries *together*, and a restart on the same
-        ledger re-processes exactly the lost files — no dup, no missing."""
+        ledger re-processes exactly the lost files — no dup, no missing.
+
+        The crash is a commit that fails: the sink's second flush hits a
+        full disk, which must fail the controller loudly (not kill the
+        writer silently and leave wait_idle hanging).  A failed commit is
+        final: stop() must not retry it, although a third flush would
+        succeed."""
         watch = tmp_path / "watch"
         watch.mkdir()
         out = tmp_path / "verdicts.jsonl"
@@ -368,18 +508,23 @@ class TestEndToEnd:
             drop(watch, f"img_{i:02d}.npy", image)
 
         first = start_ingest(
-            shared_pool, watch, [JsonlSink(str(out))], ledger_path,
-            commit_lines=3, commit_interval_s=600.0, **FAST
+            shared_pool, watch, [FullDiskSink(str(out), fail_at=2)],
+            ledger_path, commit_lines=3, **FAST
         )
         assert first.wait_idle(timeout=60.0)
-        assert first.stats()["processed"] == 8
-        # Cooperative crash: drain, then discard every uncommitted buffer
-        # (what a SIGKILL leaves after the last commit).
-        first.stop(drain=True, flush=False)
-        # commit_lines=3 over 8 files commits at 3 and 6: exactly two
-        # verdicts and their ledger entries are lost, in lockstep.
-        assert len(read_jsonl(out)) == 6
-        assert len(read_jsonl(ledger_path)) == 6
+        stats = first.stats()
+        assert stats["failure"].startswith("commit failed: ")
+        assert "No space left on device" in stats["failure"]
+        assert stats["running"] is False
+        assert stats["commits"] == 1
+        assert shared_pool.ingest_stats()["failure"] == stats["failure"]
+        first.stop()  # the CLI's drain + flush, after the failed commit
+        assert first.stats()["commits"] == 1
+        # One commit of at most commit_lines verdicts landed; the rest
+        # were lost from sink and ledger in lockstep.
+        committed = len(read_jsonl(ledger_path))
+        assert committed == len(read_jsonl(out)) == stats["processed"]
+        assert 1 <= committed <= 3
 
         second = start_ingest(
             shared_pool, watch, [JsonlSink(str(out))], ledger_path, **FAST
@@ -387,8 +532,8 @@ class TestEndToEnd:
         assert second.wait_idle(timeout=60.0)
         stats = second.stats()
         second.stop()
-        assert stats["skipped"] == 6
-        assert stats["processed"] == 2
+        assert stats["skipped"] == committed
+        assert stats["processed"] == 8 - committed
 
         verdicts = read_jsonl(out)
         serials = [v["serial"] for v in verdicts]
@@ -410,23 +555,31 @@ class TestEndToEnd:
         for i, image in enumerate(images):
             drop(watch, f"img_{i:02d}.npy", image)
 
+        # Files are submitted in name order; img_05..07 never settle.
         first = start_ingest(
-            shared_pool, watch, [JsonlSink(str(out))], ledger_path,
-            commit_lines=3, commit_interval_s=600.0, **FAST
+            WithholdingPool(shared_pool, deliver=5), watch,
+            [JsonlSink(str(out))], ledger_path, commit_lines=3, **FAST
         )
-        assert wait_until(lambda: first.stats()["processed"] >= 2)
+        assert wait_until(lambda: first.stats()["processed"] == 5
+                          and first.stats()["in_flight"] == 3)
         first.stop(drain=False, flush=False)  # abandon in-flight work
-        assert len(read_jsonl(out)) < 8  # the crash really lost verdicts
+        lost = {f"img_{i:02d}" for i in range(5, 8)}
+        assert len(read_jsonl(out)) == 5  # the crash really lost verdicts
         assert len(read_jsonl(out)) == len(read_jsonl(ledger_path))
 
         second = start_ingest(
             shared_pool, watch, [JsonlSink(str(out))], ledger_path, **FAST
         )
         assert second.wait_idle(timeout=60.0)
+        stats = second.stats()
         second.stop()
-        serials = [v["serial"] for v in read_jsonl(out)]
+        assert stats["skipped"] == 5
+        assert stats["processed"] == 3
+        verdicts = read_jsonl(out)
+        assert {v["serial"] for v in verdicts[5:]} == lost
+        serials = [v["serial"] for v in verdicts]
         assert sorted(serials) == [f"img_{i:02d}" for i in range(8)]
-        for verdict in read_jsonl(out):
+        for verdict in verdicts:
             index = int(verdict["serial"].split("_")[1])
             assert_verdict_bytes(verdict, expected_rows[index])
 
@@ -450,6 +603,11 @@ class TestEndToEnd:
             and controller.stats()["processed"] == 1
         )
         stats = controller.stats()
+        # The scan thread's failure entries are on disk once counted,
+        # before any stop() — the writer's idleness does not delay them.
+        on_disk = [e["status"] for e in read_jsonl(tmp_path / "ledger.jsonl")]
+        assert on_disk.count("failed") == stats["failed"]
+        assert on_disk.count("quarantined") == 2
         controller.stop()
         assert stats["failed"] >= 4  # two attempts per poison file
         quarantine = watch / ".ingest" / "quarantine"
@@ -465,6 +623,25 @@ class TestEndToEnd:
         assert controller.ledger.should_skip(
             content_key(b"this is not an npy file")
         )
+
+    def test_scan_error_fails_loudly(self, shared_pool, tmp_path):
+        """An unexpected error on the scan thread (here: the quarantine
+        bin cannot be created) fails the controller instead of leaving
+        wait_idle hanging on a dead scanner."""
+        watch = tmp_path / "watch"
+        watch.mkdir()
+        (watch / "garbage.npy").write_bytes(b"this is not an npy file")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the bin's parent should be")
+        controller = start_ingest(
+            shared_pool, watch, [], tmp_path / "ledger.jsonl",
+            quarantine_dir=blocker / "bin", max_failures=1, **FAST
+        )
+        assert controller.wait_idle(timeout=20.0)
+        stats = controller.stats()
+        controller.stop()
+        assert stats["failure"].startswith("scan failed: ")
+        assert stats["running"] is False
 
     def test_move_sink_routes_and_dedupes_with_ledger(
         self, shared_pool, images, tmp_path
@@ -537,6 +714,31 @@ class TestCli:
         assert sorted(verdicts) == sorted(p.stem for p in paths)
         for i, path in enumerate(paths):
             assert_verdict_bytes(verdicts[path.stem], expected_rows[i])
+
+    def test_commit_failure_exits_3(self, serving_profile, images,
+                                    tmp_path, capsys, monkeypatch):
+        """A full disk at commit time must fail the daemon (exit 3), not
+        hang ``--watch --once`` on a dead writer; the failed commit is
+        not retried at shutdown, so nothing reaches the ledger."""
+        watch = tmp_path / "watch"
+        watch.mkdir()
+        out = tmp_path / "verdicts.jsonl"
+        ledger_path = tmp_path / "ledger.jsonl"
+        drop(watch, "img_00.npy", images[0])
+        monkeypatch.setattr(cli, "parse_sink_spec",
+                            lambda spec: FullDiskSink(spec.split(":", 1)[1]))
+        code = cli_main([
+            "--profile", str(serving_profile), "--workers", "1",
+            "--watch", str(watch), "--sink", f"jsonl:{out}",
+            "--ledger", str(ledger_path),
+            "--once", "--poll-interval-s", "0.05", "--quiet",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: ingest failed: commit failed: " in err
+        assert "No space left on device" in err
+        assert read_jsonl(ledger_path) == []
+        assert read_jsonl(out) == []
 
     def test_bad_sink_spec_is_usage_error(self, serving_profile, tmp_path,
                                           capsys):
