@@ -93,12 +93,15 @@ class ServingConfig:
     The ``ingest_*`` knobs configure the watch-folder ingestion loop
     (:mod:`repro.serving.ingest`, the CLI's ``--watch``):
     ``ingest_poll_interval_s`` is the scanner cadence (inotify, when
-    available, only wakes it early), ``ingest_stable_polls`` how many
+    available, wakes it early), ``ingest_stable_polls`` how many
     consecutive unchanged ``(size, mtime)`` observations a file needs
     before it is read — spanning at least ``ingest_stable_polls - 1``
     poll intervals however often the scanner wakes, so half-written
-    files wait — ``ingest_max_in_flight`` the backpressure bound on
-    files submitted but not yet verdicted, ``ingest_max_failures`` the
+    files wait.  A complete ``.npy`` renamed into the folder skips that
+    window when inotify shows the rename as the file's last event
+    (:mod:`repro.serving.ingest.source`); that rule has no knob.
+    ``ingest_max_in_flight`` is the backpressure bound on files
+    submitted but not yet verdicted, ``ingest_max_failures`` the
     decode/score attempts before a poison file is quarantined,
     ``ingest_commit_lines`` the most verdicts one sink-flush +
     ledger-fsync commit takes (the writer commits whatever has settled

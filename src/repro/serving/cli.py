@@ -172,8 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "drain, and exit 0 instead of tailing forever")
     parser.add_argument("--poll-interval-s", type=float, default=None,
                         help="with --watch: directory scan cadence in "
-                             "seconds; inotify, when available, only wakes "
-                             "the scanner early (default: 0.25)")
+                             "seconds; a file written in place is read once "
+                             "unchanged for one interval. inotify, when "
+                             "available, wakes the scanner early and lets "
+                             "a complete .npy renamed into DIR skip that "
+                             "wait (default: 0.25)")
     parser.add_argument("--max-in-flight", type=int, default=None,
                         help="with --watch: backpressure bound on files "
                              "submitted but not yet verdicted "

@@ -4,11 +4,12 @@
 :class:`~repro.serving.pool.ServingPool` into an inspection station:
 
 * A **scan thread** polls the :class:`~repro.serving.ingest.source.
-  WatchSource` (woken early by inotify when available), hashes each
-  newly-stable file (:func:`~repro.serving.ingest.ledger.content_key`),
-  skips content the :class:`~repro.serving.ingest.ledger.
-  CheckpointLedger` already verdicted, decodes the rest and submits each
-  image to ``pool.submit`` — **with backpressure**: a bounded in-flight
+  WatchSource` (woken early by inotify when available, which also
+  proves renamed-in files complete), hashes each newly-reported file
+  (:func:`~repro.serving.ingest.ledger.content_key`), skips content the
+  :class:`~repro.serving.ingest.ledger.CheckpointLedger` already
+  verdicted, decodes the rest and submits each image to
+  ``pool.submit`` — **with backpressure**: a bounded in-flight
   semaphore keeps the dispatcher's queue from ballooning when files
   arrive faster than the pool scores them.  A submit refused because the
   pool is draining backs off for the shared ``Retry-After`` interval
@@ -479,7 +480,12 @@ class IngestController:
     # -- observability --------------------------------------------------------
 
     def stats(self) -> dict:
-        """Live counters for ``GET /healthz`` (one JSON-ready dict)."""
+        """Live counters for ``GET /healthz`` (one JSON-ready dict).
+
+        ``proved`` counts the files reported on a rename proof instead of
+        after the stability window: whether the producer gets the fast
+        path.
+        """
         now = time.monotonic()
         with self._lock:
             lag = 0.0
@@ -495,6 +501,7 @@ class IngestController:
                 "lag_s": round(lag, 3),
                 "idle": self._idle.is_set(),
                 **self._counters,
+                "proved": self.source.proved,
             }
 
     def config_summary(self) -> dict:
@@ -505,8 +512,12 @@ class IngestController:
             "ledger": str(self.ledger.path),
             "quarantine_dir": str(self.quarantine_dir),
             "poll_interval_s": self.poll_interval_s,
+            "stable_polls": self.source.stable_polls,
+            "stable_s": self.source.stable_s,
             "max_in_flight": self.max_in_flight,
             "max_failures": self.max_failures,
+            "commit_lines": self.commit_lines,
+            "suffixes": list(self.source.suffixes),
             "inotify": self.source.inotify_active,
             "ledger_replayed": self.ledger.replayed_entries(),
         }

@@ -1,27 +1,41 @@
 """Watch-folder source: discover files as a camera drops them.
 
-:class:`WatchSource` turns a directory into a stream of *stable* file
-paths.  Correctness comes entirely from the polling scanner; the
-optional inotify channel is only a latency accelerator:
+:class:`WatchSource` turns a directory into a stream of *complete* file
+paths.  A file is reported by one of two rules:
 
-* **Polling scanner.**  :meth:`poll` lists the directory and applies a
-  stability check: a file is reported only after its ``(size,
-  mtime_ns)`` signature has been observed unchanged for
-  ``stable_polls`` consecutive polls *and* for ``stable_s`` seconds
-  since it was first observed with that signature.  A half-written file
-  — a camera mid-upload, an ``rsync`` in flight — keeps changing
-  signature and is never handed to the decoder early.  Atomic producers
-  (write to a temp name, ``rename`` in) clear the check as soon as both
-  conditions hold.
-* **inotify fast path** (Linux, best-effort).  :meth:`wait` blocks on an
-  inotify descriptor for the watch directory when the kernel offers one,
-  so a dropped file wakes the scanner immediately instead of after a
-  full poll interval.  When inotify is unavailable (non-Linux, exhausted
-  watch quota, permissions) ``wait`` degrades to a plain sleep.  Either
-  way only latency changes: wake-ups caused by *other* files can add
-  polls but cannot shorten the ``stable_s`` part of the window, and
-  :meth:`wait` returns when the earliest pending file's window ends, so
-  a file is still reported on time when no event arrives.
+* **Stability window** (every file by default).  :meth:`poll` lists the
+  directory and reports a file only after its ``(size, mtime_ns)``
+  signature has been observed unchanged for ``stable_polls`` consecutive
+  polls *and* for ``stable_s`` seconds since it was first observed with
+  that signature.  A half-written file — a camera writing in place, an
+  upload in flight — keeps changing signature and is never handed to the
+  decoder early.  Wake-ups caused by *other* files can add polls but
+  cannot shorten the ``stable_s`` part of the window, and :meth:`wait`
+  returns when the earliest pending file's window ends, so a file is
+  reported on time when no event arrives.
+* **Rename proof** (Linux inotify).  A producer that writes a temp file
+  and renames it into the folder (``rsync``, ``mv`` from a staging
+  directory) hands over a finished file, because a rename is atomic.
+  Each poll first reads every queued inotify record.  A file whose last
+  record in that read is ``IN_MOVED_TO``, and whose ``.npy`` header
+  declares exactly its ``st_size`` (header offset + ∏shape × itemsize;
+  formats 1.0 and 2.0; object dtypes refused), is reported by that poll
+  without waiting out the window.  A proof serves only the poll that
+  read its record.  A later ``IN_CREATE``, ``IN_CLOSE_WRITE`` or
+  ``IN_ATTRIB`` for the name in the same read voids it, and an
+  ``IN_Q_OVERFLOW`` (the kernel dropped records) voids every proof in
+  its read.  ``IN_CLOSE_WRITE`` is never a proof:
+  ``np.lib.format.open_memmap`` closes its descriptor with the header
+  and full length on disk and then fills the data through the mapping,
+  which raises no event.  The rule trusts what renaming producers
+  promise: a file is finished before it is renamed in.
+
+Every file without a proof keeps the window: files written in place or
+closed after writing, files found by polling or present at start-up,
+every file when inotify is off or unavailable (non-Linux, exhausted
+watch quota, permissions; :meth:`wait` then degrades to a plain sleep),
+files whose header does not match their size, and files re-observed
+after :meth:`forget`.
 
 Re-discovery semantics: a reported file is remembered by signature and
 not reported again; if its content changes on disk (new signature) it
@@ -36,10 +50,14 @@ from __future__ import annotations
 
 import ctypes
 import ctypes.util
+import math
 import os
 import select
+import struct
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.serving.dispatcher import debug
 
@@ -51,7 +69,56 @@ _IN_CLOSE_WRITE = 0x00000008
 _IN_MOVED_TO = 0x00000080
 _IN_ATTRIB = 0x00000004
 _WATCH_MASK = _IN_CREATE | _IN_CLOSE_WRITE | _IN_MOVED_TO | _IN_ATTRIB
+_IN_Q_OVERFLOW = 0x00004000  # always delivered, never requested
 _IN_NONBLOCK = os.O_NONBLOCK
+# struct inotify_event: wd, mask, cookie, len; then len bytes of name
+# (NUL-padded).  A read returns whole records only.
+_EVENT = struct.Struct("iIII")
+
+
+def _proofs(records: bytes) -> set[str]:
+    """Names whose last record in ``records`` is ``IN_MOVED_TO``.
+
+    ``records`` is everything one drain read.  After an
+    ``IN_Q_OVERFLOW`` record the read may be missing records for any
+    name, so it proves nothing.
+    """
+    last: dict[str, int] = {}
+    offset = 0
+    while offset + _EVENT.size <= len(records):
+        _, mask, _, length = _EVENT.unpack_from(records, offset)
+        offset += _EVENT.size
+        if mask & _IN_Q_OVERFLOW:
+            return set()
+        name = records[offset:offset + length].split(b"\0", 1)[0]
+        offset += length
+        if name:
+            last[os.fsdecode(name)] = mask
+    return {name for name, mask in last.items() if mask & _IN_MOVED_TO}
+
+
+def _declared_length(path: Path) -> int | None:
+    """The file length a ``.npy`` header declares, or ``None``.
+
+    Header offset + ∏shape × itemsize for format 1.0 and 2.0 headers;
+    ``None`` for any other file, format or read error, and for object
+    dtypes, whose length the header cannot declare.
+    """
+    try:
+        with open(path, "rb") as fh:
+            version = np.lib.format.read_magic(fh)
+            if version == (1, 0):
+                shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+            elif version == (2, 0):
+                shape, _, dtype = np.lib.format.read_array_header_2_0(fh)
+            else:
+                return None
+            offset = fh.tell()
+    except (OSError, ValueError, TypeError):
+        return None
+    if dtype.hasobject:
+        return None
+    return offset + math.prod(shape) * dtype.itemsize
 
 
 class _Inotify:
@@ -78,19 +145,30 @@ class _Inotify:
         except (OSError, AttributeError, TypeError):
             return None
 
-    def wait(self, timeout: float) -> bool:
-        """Block up to ``timeout`` seconds; True when activity woke us."""
+    def wait(self, timeout: float) -> None:
+        """Block up to ``timeout`` seconds or until a record is queued.
+
+        Records stay queued for the next :meth:`proofs`.
+        """
         try:
-            ready, _, _ = select.select([self.fd], [], [], timeout)
+            select.select([self.fd], [], [], timeout)
         except (OSError, ValueError):
-            return False
-        if not ready:
-            return False
-        try:  # drain: events only *wake* the scanner, the scan sees all
-            os.read(self.fd, 65536)
-        except OSError:
             pass
-        return True
+
+    def proofs(self) -> set[str]:
+        """Read every queued record, until ``EAGAIN``; the names proved."""
+        chunks = []
+        while True:
+            try:
+                chunk = os.read(self.fd, 65536)
+            except BlockingIOError:
+                break
+            except OSError:
+                return set()  # a broken read proves nothing
+            if not chunk:
+                break
+            chunks.append(chunk)
+        return _proofs(b"".join(chunks))
 
     def close(self) -> None:
         try:
@@ -119,6 +197,7 @@ class WatchSource:
         self._pending: dict[Path, tuple[tuple[int, int], int, float]] = {}
         # path -> signature it was last *reported* with
         self._reported: dict[Path, tuple[int, int]] = {}
+        self.proved = 0  # files reported on a rename proof
         self._inotify = _Inotify.try_create(self.root) if use_inotify else None
         if self._inotify is not None:
             debug(f"watch source on {self.root}: inotify fast path active")
@@ -147,7 +226,13 @@ class WatchSource:
         return out
 
     def poll(self) -> list[Path]:
-        """One scan; returns the files that just became stable, name order."""
+        """One scan; returns the files that just became reportable, name order.
+
+        The records read first serve this scan only: a file renamed in
+        after the read is listed without a proof and proved by the next
+        scan, which the queued record wakes at once.
+        """
+        proved = self._inotify.proofs() if self._inotify is not None else set()
         now = time.monotonic()
         seen = set()
         ready: list[Path] = []
@@ -164,12 +249,15 @@ class WatchSource:
             if prev != signature:
                 count, first = 0, now
             count += 1
-            if count >= self.stable_polls and now - first >= self.stable_s:
-                self._pending.pop(path, None)
-                self._reported[path] = signature
-                ready.append(path)
-            else:
+            if (path.name in proved
+                    and _declared_length(path) == stat.st_size):
+                self.proved += 1
+            elif count < self.stable_polls or now - first < self.stable_s:
                 self._pending[path] = (signature, count, first)
+                continue
+            self._pending.pop(path, None)
+            self._reported[path] = signature
+            ready.append(path)
         # Forget files that vanished (moved to bins, deleted) so a later
         # file reusing the name is observed fresh.
         for tracked in (self._pending.keys() - seen):

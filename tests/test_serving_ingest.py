@@ -14,9 +14,10 @@ The properties that make continuous ingestion trustworthy:
    every settled verdict durable as soon as the writer is idle, so the
    crash tests make their lost tail deterministic with a sink whose
    flush fails and a pool that withholds completions.
-3. **Hygiene** — half-written files are never read (stability window),
-   poison files are quarantined after N attempts instead of wedging the
-   loop, and the live counters surface through the same
+3. **Hygiene** — half-written files are never read (stability window;
+   only a complete ``.npy`` renamed in skips it, on its inotify rename
+   proof), poison files are quarantined after N attempts instead of
+   wedging the loop, and the live counters surface through the same
    ``health_payload``/``profile_summary`` seams both HTTP fronts share.
 
 Pool-backed tests spawn real worker processes, so this file lives in the
@@ -27,8 +28,11 @@ from __future__ import annotations
 
 import errno
 import importlib.util
+import io
 import json
+import struct
 import sys
+import threading
 import time
 from datetime import datetime
 from pathlib import Path
@@ -74,6 +78,31 @@ def drop(watch: Path, name: str, image: np.ndarray) -> Path:
     path = watch / name
     np.save(path, image)
     return path
+
+
+def npy_bytes(array: np.ndarray, version=None) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asarray(array), version=version)
+    return buf.getvalue()
+
+
+def rename_in(stage: Path, watch: Path, name: str, data: bytes) -> Path:
+    """Land ``data`` as ``watch/name`` the atomic way: temp, then rename."""
+    (stage / name).write_bytes(data)
+    return (stage / name).rename(watch / name)
+
+
+@pytest.fixture()
+def watched(tmp_path):
+    """A watch folder where inotify works, and a staging folder beside it."""
+    watch, stage = tmp_path / "watch", tmp_path / "stage"
+    watch.mkdir()
+    stage.mkdir()
+    probe = source_module._Inotify.try_create(watch)
+    if probe is None:
+        pytest.skip("inotify is not available here")
+    probe.close()
+    return watch, stage
 
 
 def read_jsonl(path: Path) -> list[dict]:
@@ -365,6 +394,142 @@ class TestWatchSource:
         assert clock.slept == [1.0, 0.0625]
         assert source.poll() == [tmp_path / "a.npy"]
 
+    @pytest.mark.parametrize("version,proved", [
+        ((1, 0), True), ((2, 0), True), ((3, 0), False),
+    ])
+    def test_renamed_in_npy_is_reported_on_the_first_poll(
+        self, watched, version, proved
+    ):
+        """A complete file renamed in needs no window: the poll after the
+        wake reports it, although the window here lasts a minute.  Only
+        the 1.0 and 2.0 header formats are read."""
+        watch, stage = watched
+        source = WatchSource(watch, stable_polls=2, stable_s=60.0)
+        try:
+            path = rename_in(stage, watch, "frame.npy",
+                             npy_bytes(np.arange(12.0).reshape(3, 4), version))
+            started = time.monotonic()
+            source.wait(10.0)               # the record wakes the scanner
+            assert time.monotonic() - started < 5.0
+            assert source.poll() == ([path] if proved else [])
+            assert source.proved == int(proved)
+            assert source.poll() == []      # never re-reported
+        finally:
+            source.close()
+
+    def test_truncated_file_renamed_in_waits_out_the_window(self, watched,
+                                                           clock):
+        watch, stage = watched
+        source = WatchSource(watch, stable_polls=2, stable_s=0.25)
+        try:
+            data = npy_bytes(np.arange(12.0))
+            path = rename_in(stage, watch, "frame.npy", data[:-8])
+            assert source.poll() == []      # header declares 8 more bytes
+            clock.now += 0.25
+            assert source.poll() == [path]
+            assert source.proved == 0
+        finally:
+            source.close()
+
+    def test_rename_then_in_place_rewrite_waits_out_the_window(self, watched,
+                                                              clock):
+        """A write after the rename voids the proof, even when the file
+        ends up the length its header declares."""
+        watch, stage = watched
+        source = WatchSource(watch, stable_polls=2, stable_s=0.25)
+        try:
+            path = rename_in(stage, watch, "frame.npy",
+                             npy_bytes(np.zeros(12)))
+            path.write_bytes(npy_bytes(np.ones(12)))
+            assert source.poll() == []
+            clock.now += 0.25
+            assert source.poll() == [path]
+            assert source.proved == 0
+        finally:
+            source.close()
+
+    def test_proof_serves_only_the_scan_after_its_record(self, watched,
+                                                         clock):
+        """Files present at start-up have no record, and a file forgotten
+        for a retry does not get its spent proof back."""
+        watch, stage = watched
+        data = npy_bytes(np.arange(12.0))
+        old = rename_in(stage, watch, "old.npy", data)
+        source = WatchSource(watch, stable_polls=2, stable_s=0.25)
+        try:
+            new = rename_in(stage, watch, "new.npy", data)
+            assert source.poll() == [new]
+            source.forget(new)
+            assert source.poll() == []
+            clock.now += 0.25
+            assert source.poll() == [new, old]
+            assert source.proved == 1
+        finally:
+            source.close()
+
+    def test_chunked_writer_is_never_reported_early(self, watched):
+        """A file written in place in 20 chunks 30 ms apart is reported
+        only whole, while files renamed in every 5 ms wake the scanner and
+        take the fast path around it."""
+        watch, stage = watched
+        source = WatchSource(watch, stable_polls=2, stable_s=0.25)
+        data = npy_bytes(np.arange(2500.0))
+        chunks = np.array_split(np.frombuffer(data, np.uint8), 20)
+        target = watch / "chunked.npy"
+        done = threading.Event()
+
+        def write_in_place():
+            with open(target, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk.tobytes())
+                    fh.flush()
+                    time.sleep(0.03)
+
+        def rename_others():
+            other = npy_bytes(np.arange(4.0))
+            for i in range(10_000):
+                if done.is_set():
+                    return
+                rename_in(stage, watch, f"other{i:05d}.npy", other)
+                time.sleep(0.005)
+
+        threads = [threading.Thread(target=write_in_place),
+                   threading.Thread(target=rename_others)]
+        for thread in threads:
+            thread.start()
+        reported_size = None
+        try:
+            deadline = time.monotonic() + 20.0
+            while reported_size is None and time.monotonic() < deadline:
+                if target in source.poll():
+                    reported_size = target.stat().st_size
+                source.wait(0.25)
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=20.0)
+            source.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert reported_size == len(data)
+        assert source.proved > 0
+
+    def test_queue_overflow_drops_every_proof_in_its_read(self):
+        """Records built by hand (kernel mask values from
+        <sys/inotify.h>): a name is proved when its last record in the
+        read is IN_MOVED_TO, and an IN_Q_OVERFLOW proves nothing."""
+        moved_to, close_write, overflow = 0x80, 0x08, 0x4000
+
+        def record(mask, name=b""):
+            padded = name + b"\0" * (16 - len(name) % 16) if name else b""
+            return struct.pack("iIII", 1, mask, 0, len(padded)) + padded
+
+        read = (record(moved_to, b"a.npy") + record(moved_to, b"b.npy")
+                + record(close_write, b"b.npy")
+                + record(close_write, b"c.npy") + record(moved_to, b"c.npy"))
+        assert source_module._proofs(read) == {"a.npy", "c.npy"}
+        assert source_module._proofs(read + record(overflow)) == set()
+        assert source_module._proofs(record(overflow) + read) == set()
+
 
 class TestConfigAndProtocol:
     @pytest.mark.parametrize("field,value", [
@@ -624,6 +789,38 @@ class TestEndToEnd:
             content_key(b"this is not an npy file")
         )
 
+    def test_renamed_in_files_take_the_fast_path(
+        self, shared_pool, images, expected_rows, watched, tmp_path
+    ):
+        """With inotify on, files renamed in are reported on their rename
+        proof and verdicted byte-identically; a truncated file renamed in
+        still waits out the window, and is retried and quarantined."""
+        watch, stage = watched
+        out = tmp_path / "verdicts.jsonl"
+        controller = start_ingest(
+            shared_pool, watch, [JsonlSink(str(out))],
+            tmp_path / "ledger.jsonl", max_failures=2,
+            poll_interval_s=0.05, stable_polls=2,  # FAST, inotify on
+        )
+        for i, image in enumerate(images[:4]):
+            rename_in(stage, watch, f"img_{i:02d}.npy", npy_bytes(image))
+        torn = npy_bytes(images[4])
+        rename_in(stage, watch, "torn.npy", torn[:len(torn) // 2])
+        assert wait_until(
+            lambda: controller.stats()["processed"] == 4
+            and controller.stats()["quarantined"] == 1
+        )
+        stats = controller.stats()
+        controller.stop()
+        assert stats["proved"] == 4
+        assert stats["failed"] == 2
+        verdicts = {v["serial"]: v for v in read_jsonl(out)}
+        assert sorted(verdicts) == [f"img_{i:02d}" for i in range(4)]
+        for i in range(4):
+            assert_verdict_bytes(verdicts[f"img_{i:02d}"], expected_rows[i])
+        quarantine = watch / ".ingest" / "quarantine"
+        assert [p.name for p in quarantine.iterdir()] == ["torn.npy"]
+
     def test_scan_error_fails_loudly(self, shared_pool, tmp_path):
         """An unexpected error on the scan thread (here: the quarantine
         bin cannot be created) fails the controller instead of leaving
@@ -684,10 +881,19 @@ class TestEndToEnd:
         payload = health_payload(shared_pool.health(), False,
                                  ingest=shared_pool.ingest_stats())
         assert payload["ingest"]["processed"] == 1
+        assert payload["ingest"]["proved"] == 0  # no inotify: the window
         summary = shared_pool.profile_summary()
         assert summary["ingest"]["watch_dir"] == str(watch)
         assert summary["ingest"]["sinks"] == ["jsonl:-"]
         assert summary["ingest"]["ledger"] == str(tmp_path / "ledger.jsonl")
+        knobs = ("poll_interval_s", "stable_polls", "stable_s",
+                 "max_in_flight", "max_failures", "commit_lines",
+                 "suffixes", "inotify")
+        assert {k: summary["ingest"][k] for k in knobs} == {
+            "poll_interval_s": 0.05, "stable_polls": 2, "stable_s": 0.05,
+            "max_in_flight": 16, "max_failures": 3, "commit_lines": 32,
+            "suffixes": [".npy"], "inotify": False,
+        }
         controller.stop()
         assert shared_pool.ingest_stats()["running"] is False
 
