@@ -15,21 +15,7 @@ so the gate degrades to an overhead bound (the pool must stay within a
 constant factor of single-worker throughput) and the table records the
 core count the curve was measured on.
 
-A second lane measures the IPC transport itself: large frames served
-through the same pool under ``ipc_transport='pickle'`` vs ``'shm'``.
-Its gate is hardware- and workload-honest.  On >= 2 usable cores the
-zero-copy lane must reach >= 1.2x pickle throughput (the acceptance
-bar) whenever the measured pickle serialize+deserialize cost is a big
-enough share of per-image time for that bar to be arithmetically
-reachable — deleting the double copy can lift throughput by at most
-``1 / (1 - share)``; when NCC compute dominates instead, the gate is
-that zero-copy must not cost throughput.  On one core both transports
-serialize behind the same CPU, so the gate degrades to an overhead
-bound.  Both lanes append machine-readable records (with an
-``ipc_transport`` field) to ``results/bench.json``.
-
-Results land in ``benchmarks/results/serving_throughput.txt`` and
-``benchmarks/results/serving_ipc_transport.txt``.
+Results land in ``benchmarks/results/serving_throughput.txt``.
 """
 
 from __future__ import annotations
@@ -38,22 +24,17 @@ import os
 import time
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from _common import BENCH, emit, record_json
+from _common import BENCH, emit
 from repro.core.pipeline import InspectorGadget
 from repro.datasets.registry import make_dataset
 from repro.eval.experiments import build_ig_config
 from repro.serving import ServingPool
-from repro.serving.shm import shm_supported
 from repro.utils.tables import format_table
 
 WORKER_COUNTS = (1, 2, 4)
 STREAM_LEN = 96  # images per measured pass
-
-LARGE_SHAPE = (256, 256)  # ~512 KiB/frame: pixel IPC dominates dispatch
-LARGE_STREAM_LEN = 48
 
 
 def _usable_cpus() -> int:
@@ -145,123 +126,3 @@ def test_serving_throughput(serving_workload):
             "1-worker throughput — dispatch overhead is out of hand"
         )
 
-
-def _pickle_roundtrip_share(stream, compute_per_img: float) -> float:
-    """Fraction of pickle-lane per-image time that is the IPC double
-    copy this transport deletes (serialize + deserialize, in-process).
-
-    The zero-copy bar is hardware- AND workload-honest: at a given frame
-    size the reachable shm/pickle ratio is bounded by how much of the
-    pickle lane's time is copies rather than NCC compute.  Measuring the
-    copy cost in-process (no pools, no scheduler noise) gives a stable
-    a-priori bound to pick the right gate with.
-    """
-    import pickle as _pickle
-
-    t0 = time.perf_counter()
-    _pickle.loads(_pickle.dumps(stream, protocol=_pickle.HIGHEST_PROTOCOL))
-    per_img = (time.perf_counter() - t0) / len(stream)
-    return per_img / (per_img + compute_per_img)
-
-
-def test_large_frame_ipc_transport(serving_workload):
-    """Pickle vs shm on identical pools, large frames.
-
-    256x256 float64 frames put ~half a MiB of pixels behind every task;
-    the pickle lane copies them through a queue twice while the shm lane
-    ships descriptors.  Byte-identity to single-process ``predict`` is
-    asserted for both transports before any number is recorded.
-    """
-    profile_path, _, _ = serving_workload
-    cpus = _usable_cpus()
-    rng = np.random.default_rng(42)
-    stream = [rng.random(LARGE_SHAPE) for _ in range(LARGE_STREAM_LEN)]
-
-    single = InspectorGadget.load(profile_path)
-    single.predict(stream[:4])  # warm plans for the large shape
-    single_t = min(_timed_pass(single.predict, stream) for _ in range(2))
-    expected = single.predict(stream).probs.tobytes()
-    share = _pickle_roundtrip_share(stream, single_t / len(stream))
-
-    transports = ("pickle", "shm") if shm_supported() else ("pickle",)
-    # Both pools stay open and the timed passes interleave: host-load
-    # drift then lands on both transports instead of whichever block ran
-    # second.  Idle workers block on their queues and cost no CPU.
-    pools = {
-        t: ServingPool(profile_path, workers=2, max_batch=4,
-                       max_wait_ms=0.0, warmup_shapes=(LARGE_SHAPE,),
-                       ipc_transport=t)
-        for t in transports
-    }
-    elapsed: dict[str, float] = {t: float("inf") for t in transports}
-    try:
-        for transport, pool in pools.items():
-            pool.predict(stream[:4])  # warm dispatch, slab pool, mappings
-            served = pool.predict(stream)
-            assert served.probs.tobytes() == expected, (
-                f"{transport} pool output diverged from single-process"
-            )
-        for _ in range(3):
-            for transport, pool in pools.items():
-                elapsed[transport] = min(
-                    elapsed[transport], _timed_pass(pool.predict, stream)
-                )
-    finally:
-        for pool in pools.values():
-            pool.shutdown()
-
-    throughput = {t: len(stream) / elapsed[t] for t in transports}
-    for transport in transports:
-        record_json(
-            "serving_ipc_transport",
-            ipc_transport=transport,
-            imgs_per_sec=round(throughput[transport], 2),
-            frame_shape=list(LARGE_SHAPE),
-            workers=2,
-            usable_cpus=cpus,
-            pickle_ipc_share=round(share, 3),
-        )
-
-    single_thr = len(stream) / single_t
-    rows = [["single-process", "--", f"{single_thr:.1f}", "--"]]
-    for transport in transports:
-        ratio = throughput[transport] / throughput["pickle"]
-        rows.append([f"pool, 2 workers", transport,
-                     f"{throughput[transport]:.1f}", f"{ratio:.2f}x"])
-    emit("serving_ipc_transport", format_table(
-        ["Configuration", "transport", "imgs/sec", "vs pickle"],
-        rows,
-        title=f"IPC transport, {LARGE_SHAPE[0]}x{LARGE_SHAPE[1]} frames "
-              f"({LARGE_STREAM_LEN} per pass, max_batch=4; "
-              f"{cpus} usable core(s))",
-    ))
-
-    if "shm" not in throughput:
-        pytest.skip("host has no working POSIX shared memory")
-    ratio = throughput["shm"] / throughput["pickle"]
-    if cpus >= 2:
-        # Deleting the double copy can lift throughput by at most
-        # 1 / (1 - share); the 1.2x zero-copy bar therefore binds only
-        # when copies are >= ~1/6 of the pickle lane's per-image time
-        # (megapixel frames, or pattern-light profiles).  Below that the
-        # lane is NCC-compute-bound and the honest requirement is that
-        # zero-copy never *costs* throughput.
-        if share >= 1.0 - 1.0 / 1.2:
-            assert ratio >= 1.2, (
-                f"shm reached only {ratio:.2f}x pickle throughput on "
-                f"{cpus} cores with a {share:.0%} IPC share "
-                "(acceptance bar: 1.2x)"
-            )
-        else:
-            assert ratio >= 0.9, (
-                f"shm fell to {ratio:.2f}x pickle throughput on {cpus} "
-                f"cores (compute-bound lane, IPC share {share:.0%}; "
-                "floor: 0.9x)"
-            )
-    else:
-        # One core serializes both transports behind the same CPU, so the
-        # zero-copy win cannot show; shm must still not cost throughput.
-        assert ratio >= 0.7, (
-            f"shm fell to {ratio:.2f}x pickle throughput on one core — "
-            "transport overhead is out of hand"
-        )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.augment.augmenter import AugmentConfig
@@ -14,7 +13,6 @@ __all__ = ["InspectorGadgetConfig", "ServingConfig"]
 
 _START_METHODS = ("spawn", "fork", "forkserver")
 _HTTP_BACKENDS = ("threaded", "asyncio")
-_IPC_TRANSPORTS = ("auto", "shm", "pickle")
 
 
 @dataclass
@@ -68,17 +66,6 @@ class ServingConfig:
     ``"asyncio"`` (:mod:`repro.serving.aio`, one event loop, bounded
     threads — the high-concurrency choice).  Both serve the identical
     endpoint surface with byte-identical responses.
-
-    ``ipc_transport`` picks how task/result payloads cross the
-    parent↔worker process boundary: ``"shm"`` ships zero-copy
-    shared-memory slab descriptors (:mod:`repro.serving.shm`),
-    ``"pickle"`` is the reference lane (arrays pickled through the
-    queues), and ``"auto"`` — the default — probes the host and uses
-    ``shm`` where POSIX shared memory works, ``pickle`` elsewhere.  The
-    default honours the ``REPRO_SERVING_IPC`` environment variable so CI
-    can sweep both lanes without touching call sites.  Like every other
-    transport knob, it moves bytes but never regroups computation:
-    responses stay byte-identical across transports.
 
     ``max_request_bytes`` bounds an HTTP request body; larger requests are
     refused with 413 before being read, so one misbehaving client cannot
@@ -136,9 +123,6 @@ class ServingConfig:
     http_host: str = "127.0.0.1"
     http_port: int = 8765
     http_backend: str = "threaded"
-    ipc_transport: str = field(
-        default_factory=lambda: os.environ.get("REPRO_SERVING_IPC", "auto")
-    )
     max_request_bytes: int = 64 * 1024 * 1024
     gzip_responses: bool = True
     gzip_min_bytes: int = 512
@@ -205,11 +189,6 @@ class ServingConfig:
             raise ValueError(
                 f"http_backend must be one of {_HTTP_BACKENDS}, "
                 f"got {self.http_backend!r}"
-            )
-        if self.ipc_transport not in _IPC_TRANSPORTS:
-            raise ValueError(
-                f"ipc_transport must be one of {_IPC_TRANSPORTS}, "
-                f"got {self.ipc_transport!r}"
             )
         if self.max_request_bytes < 1024:
             raise ValueError(

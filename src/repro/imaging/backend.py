@@ -26,10 +26,10 @@ Contract, pinned by ``tests/test_match_engine.py``:
   sums lose precision linearly, and in float32 the ``energy - sum²/n``
   cancellation could flip the flat-window decision on constant regions —
   so precision-critical steps never follow the working dtype.
-* **Optional backends register, never import-fail.**  ``torch`` and
-  ``cupy`` appear in :func:`available_backends` only when importable;
-  requesting an absent one raises a clear :class:`ValueError` (callers and
-  tests skip, nothing crashes at import time).
+* **Optional backends register, never import-fail.**  ``torch`` appears
+  in :func:`available_backends` only when importable; requesting an
+  absent one raises a clear :class:`ValueError` (callers and tests skip,
+  nothing crashes at import time).
 
 Backend-native arrays (e.g. torch tensors) live only *inside* plans —
 pinned spectra — and in flight between ``rfft2`` and ``to_numpy``; every
@@ -228,42 +228,6 @@ class TorchBackend(ArrayBackend):
         return 8  # kernel-launch overhead dominates; batch at every dtype
 
 
-class CupyBackend(ArrayBackend):
-    """cupy.fft on CUDA arrays (registered only when importable)."""
-
-    name = "cupy"
-
-    def __init__(self):
-        import cupy
-
-        self._cupy = cupy
-        # Fail at construction, not mid-plan, when no device is usable.
-        cupy.cuda.runtime.getDeviceCount()
-
-    def asarray(self, values, dtype: str):
-        return self._cupy.asarray(np.asarray(values), dtype=check_dtype(dtype))
-
-    def to_numpy(self, values) -> np.ndarray:
-        if isinstance(values, np.ndarray):
-            return values
-        return self._cupy.asnumpy(values)
-
-    def flip2(self, values):
-        return values[..., ::-1, ::-1]
-
-    def stack(self, arrays):
-        return self._cupy.stack(list(arrays))
-
-    def rfft2(self, values, s):
-        return self._cupy.fft.rfft2(values, s=tuple(s), axes=(-2, -1))
-
-    def irfft2(self, values, s):
-        return self._cupy.fft.irfft2(values, s=tuple(s), axes=(-2, -1))
-
-    def response_chunk(self, dtype: str) -> int:
-        return 8  # kernel-launch overhead dominates; batch at every dtype
-
-
 def _make_optional(cls):
     """Factory returning an instance, or ``None`` when the library (or a
     usable device) is absent — skip-not-fail by construction."""
@@ -280,7 +244,6 @@ def _make_optional(cls):
 _FACTORIES: dict[str, object] = {
     "numpy": NumpyBackend,
     "torch": _make_optional(TorchBackend),
-    "cupy": _make_optional(CupyBackend),
 }
 _INSTANCES: dict[str, ArrayBackend] = {}
 

@@ -40,7 +40,7 @@ computes the same similarity matrix with the redundant work hoisted out:
 * **Pluggable transforms, tunable plans.**  The FFTs (and only the FFTs)
   run through an :class:`repro.imaging.backend.ArrayBackend` at an opt-in
   working ``dtype`` — numpy/float64 is the byte-identical reference;
-  float32 halves transform bandwidth; torch/cupy use the host's array
+  float32 halves transform bandwidth; torch uses the host's array
   library when present.  Window statistics, kernel energies and the
   flat-window threshold always stay float64 on the host (see
   :mod:`repro.imaging.backend`), and the output matrix is always float64

@@ -28,11 +28,8 @@ Lifecycle is product surface: warmup before ready, :meth:`ServingPool.health`
 :meth:`ServingPool.shutdown` for graceful exits, and crashed workers are
 respawned (in-flight work resubmitted) within a bounded budget.
 
-Between parent and workers, payloads ride one of two IPC transports
-(``ServingConfig.ipc_transport``): zero-copy shared-memory slabs
-(:mod:`repro.serving.shm` — the default wherever POSIX shared memory
-works; queues carry descriptors, never pixels) or the pickled-arrays
-reference lane.  Transport choice cannot change a byte of any response.
+Between parent and workers, a task's images and its feature rows are
+pickled through that worker's own task and result queues.
 
 Transports stack on top of the same ``submit``: two HTTP front ends —
 threaded :func:`serve_http` (:mod:`repro.serving.http`) and asyncio

@@ -48,7 +48,6 @@ import threading
 from urllib.parse import parse_qs, urlparse
 
 from repro.serving.dispatcher import ServingError, debug
-from repro.serving.shm import request_lease as _request_lease
 from repro.serving.protocol import (
     RequestError,
     accepts_gzip,
@@ -363,30 +362,17 @@ class AsyncHttpFrontEnd:
             return 400, error_envelope(
                 "bad_request", f"request body is not valid JSON ({exc})", 400,
             ), False
-        # Under the shm transport, decode straight into pool-arena slabs
-        # (see the threaded front): a submitted request's lease is
-        # released when the prediction settles — in-flight tasks hold
-        # their own references, so this only drops the decode-side pin.
-        lease = _request_lease(self.pool)
         try:
             entries = parse_label_request(payload)
-            images = [decode_image(e, into=lease) for e in entries]
+            images = [decode_image(e) for e in entries]
             # submit() validates through the shared coerce_images and
             # returns immediately; the event loop is never blocked on the
             # pool.  The PendingPrediction's completion callback fulfills
             # an asyncio future from the dispatcher's collect thread.
             pending = self.pool.submit(images)
         except (RequestError, ValueError, ServingError) as exc:
-            if lease is not None:
-                lease.release()
             envelope = envelope_for(exc)
             return envelope["error"]["status"], envelope, False
-        except BaseException:
-            if lease is not None:
-                lease.release()
-            raise
-        if lease is not None:
-            pending.add_done_callback(lambda _handle: lease.release())
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
 

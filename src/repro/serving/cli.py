@@ -189,18 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "high-concurrency choice). Responses are "
                              "byte-identical either way (default: "
                              "threaded)")
-    parser.add_argument("--ipc-transport", default=None,
-                        choices=("auto", "shm", "pickle"),
-                        help="how task/result payloads cross the "
-                             "parent-worker boundary: shm (zero-copy "
-                             "shared-memory slabs), pickle (reference "
-                             "lane), or auto — shm where the host "
-                             "supports it. Responses are byte-identical "
-                             "either way (default: auto, or the "
-                             "REPRO_SERVING_IPC environment variable)")
     parser.add_argument("--engine-backend", default=None,
                         help="override the match engine's array backend "
-                             "(e.g. numpy, torch, cupy; requires the "
+                             "(e.g. numpy, torch; requires the "
                              "library on this host). Default: whatever "
                              "the profile was trained with")
     parser.add_argument("--engine-dtype", default=None,
@@ -394,10 +385,14 @@ def _run_watch(pool: ServingPool, controller, out) -> int:
     if failure is not None:
         print(f"error: ingest failed: {failure}", file=sys.stderr)
         return 3
+    # Every counter: with no /healthz on this daemon, this line is how an
+    # operator learns whether the producer gets the rename fast path.
     stats = controller.stats()
-    print(f"ingest drained: {stats['processed']} processed, "
-          f"{stats['skipped']} skipped, {stats['failed']} failed, "
-          f"{stats['quarantined']} quarantined", file=sys.stderr)
+    counters = ("processed", "skipped", "failed", "quarantined", "proved",
+                "retries", "commits")
+    print("ingest drained: " + ", ".join(f"{stats[name]} {name}"
+                                         for name in counters),
+          file=sys.stderr)
     return 0
 
 
@@ -462,8 +457,6 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
             overrides["http_port"] = port
         if args.http_backend is not None:
             overrides["http_backend"] = args.http_backend
-        if args.ipc_transport is not None:
-            overrides["ipc_transport"] = args.ipc_transport
         if args.max_request_bytes is not None:
             overrides["max_request_bytes"] = args.max_request_bytes
         if args.request_timeout_s is not None:

@@ -45,7 +45,6 @@ from multiprocessing.connection import wait as connection_wait
 import numpy as np
 
 from repro.labeler.weak_labels import WeakLabels
-from repro.serving import shm as shm_ipc
 
 __all__ = ["Dispatcher", "PendingPrediction", "ServingError", "debug"]
 
@@ -170,15 +169,6 @@ class _Task:
 
     task_id: int
     pieces: list[_Piece]
-    # The exact queue payload shipped to the worker — the pickled image
-    # list on the pickle lane, the ("shm", descriptors, result) tuple on
-    # the shm lane.  Respawn resubmission resends it verbatim, so the
-    # replacement worker sees the identical task either way.
-    payload: object = None
-    # The shm slabs this task pins (images + result); None on the pickle
-    # lane.  Held until rows are scattered or the task errors, so the
-    # lease survives worker death and resubmission in between.
-    lease: shm_ipc.TaskLease | None = None
 
     @property
     def images(self) -> list[np.ndarray]:
@@ -320,33 +310,14 @@ class Dispatcher:
 
     def _dispatch(self, task: _Task) -> None:
         """Assign ``task`` to the least-loaded worker and ship it."""
-        # Build the payload outside the lock: packing image bytes into a
-        # slab is the one dispatch step whose cost scales with frame
-        # size, and it needs no pool state.  Allocation failure (shm
-        # exhausted) degrades this task to the pickle lane instead of
-        # failing it.
-        payload: object = None
-        arena = self._pool._shm_arena
-        if arena is not None:
-            try:
-                task.lease, payload = shm_ipc.lease_task(
-                    arena, task.images, self._n_patterns
-                )
-            except shm_ipc.ShmError as exc:
-                if _DEBUG:
-                    debug(f"shm lease for task {task.task_id} failed "
-                          f"({exc}); falling back to pickle")
-        task.payload = task.images if payload is None else payload
         with self._lock:
             if self._failure is not None:
-                self._release_lease(task)
                 self._fail_task(task, self._failure)
                 return
             if not self._pool._workers:
                 # All workers gone mid-replacement: fail the task cleanly
                 # instead of letting min() raise a bare ValueError inside
                 # the dispatch thread.
-                self._release_lease(task)
                 self._fail_task(task, ServingError(
                     "no live workers to dispatch to (worker registry empty)"
                 ))
@@ -361,7 +332,7 @@ class Dispatcher:
             debug(f"dispatch task {task.task_id} ({len(task.images)} imgs) "
                   f"-> worker {handle.worker_id} "
                   f"(q {id(handle.task_queue):#x})")
-        _safe_put(handle, ("task", task.task_id, task.payload))
+        _safe_put(handle, ("task", task.task_id, task.images))
 
     # -- collect loop ---------------------------------------------------------
 
@@ -446,16 +417,6 @@ class Dispatcher:
                 if task is None:  # duplicate after a respawn resubmit
                     return
                 handle.tasks_done += 1
-                if task.lease is not None:
-                    # shm lane: the message is just a completion signal —
-                    # the worker wrote the rows into the leased result
-                    # slab, readable through the parent's own mapping.
-                    # result_rows() copies, so the lease can be released
-                    # *before* the scatter below settles any request:
-                    # a waiter woken by its response never observes this
-                    # task's slabs still live.
-                    rows = task.lease.result_rows()
-                self._release_lease(task)
                 cursor = 0
                 for piece in task.pieces:
                     rows_slice = rows[cursor:cursor + len(piece.images)]
@@ -470,7 +431,6 @@ class Dispatcher:
                 if task is None:
                     return
                 handle.tasks_done += 1
-                self._release_lease(task)
                 self._fail_task(task, ServingError(
                     f"worker {worker_id} failed a request:\n{tb}"
                 ))
@@ -533,13 +493,6 @@ class Dispatcher:
             if not piece.request.settled:
                 self._settle(piece.request, error=error)
 
-    @staticmethod
-    def _release_lease(task: _Task) -> None:
-        """Release a task's shm lease exactly once."""
-        lease, task.lease = task.lease, None
-        if lease is not None:
-            lease.release()
-
     # -- worker supervision ---------------------------------------------------
 
     def _reap_dead_workers(self) -> None:
@@ -574,16 +527,15 @@ class Dispatcher:
                     ))
                     return
                 for task in orphans:  # FIFO order preserved by dict order
-                    # An orphan's shm lease is still held (released only
-                    # on rows/error), so its segments are intact and the
-                    # identical payload can be resent to the replacement.
+                    # The task still holds its pieces' images, so the
+                    # replacement gets the identical image list.
                     replacement.outstanding[task.task_id] = task
                     if _DEBUG:
                         debug(f"resubmit task {task.task_id} -> worker "
                               f"{replacement.worker_id} "
                               f"(q {id(replacement.task_queue):#x})")
                     _safe_put(replacement,
-                              ("task", task.task_id, task.payload))
+                              ("task", task.task_id, task.images))
 
     def _fail_pool(self, error: ServingError) -> None:
         """Terminal failure: fail everything in flight, refuse new work."""
@@ -594,11 +546,8 @@ class Dispatcher:
             ping.event.set()
         # Abandon undrained task queues now: even if the caller never
         # shuts the failed pool down, its queue feeders must not block
-        # interpreter exit (see pool._discard_queue).  Same urgency for
-        # shm: unlink every leased segment now, not at some later
-        # shutdown that may never come.
+        # interpreter exit (see pool._discard_queue).
         self._pool._release_queues()
-        self._pool._release_shm()
 
     # -- health / lifecycle ---------------------------------------------------
 

@@ -59,9 +59,9 @@ Design rules, in dependency order:
 
 The router duck-types the pool surface the HTTP front ends consume
 (``predict``/``submit``/``health``/``ping``/``drain``/
-``profile_summary``/``profile_bytes``/``ingest_stats``/
-``request_arena``/``config``), so :func:`repro.serving.http.serve_http`
-and :func:`repro.serving.aio.serve_http_async` serve a fleet unchanged —
+``profile_summary``/``profile_bytes``/``ingest_stats``/``config``), so
+:func:`repro.serving.http.serve_http` and
+:func:`repro.serving.aio.serve_http_async` serve a fleet unchanged —
 that is how the CLI's ``--fleet`` mode exposes router-level ``/healthz``
 and ``/profile`` aggregation over either HTTP back end.
 
@@ -791,11 +791,6 @@ class FleetRouter:
 
     def ingest_stats(self) -> None:
         """No ingest controller attaches to a router (pool surface)."""
-        return None
-
-    def request_arena(self):
-        """No shared-memory arena at the router layer (pool surface):
-        members run their own transports behind their own boundaries."""
         return None
 
     # -- lifecycle ------------------------------------------------------------

@@ -78,7 +78,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro.serving.dispatcher import ServingError, debug
-from repro.serving.shm import request_lease as _request_lease
 from repro.serving.protocol import (
     RequestError,
     accepts_gzip,
@@ -355,29 +354,18 @@ class _Handler(BaseHTTPRequestHandler):
                 400, "bad_request", f"request body is not valid JSON ({exc})"
             )
             return
-        # Under the shm transport, decode straight into pool-arena slabs:
-        # the dispatcher finds the images already shared-memory-resident
-        # and ships descriptors instead of copying pixels again.  The
-        # lease is this handler's reference; in-flight tasks hold their
-        # own, so releasing in ``finally`` is safe on every path
-        # (success, validation error, timeout with the request still
-        # running).
-        lease = _request_lease(self.front.pool)
         try:
             entries = parse_label_request(payload)
             # predict() runs the shared coerce_images validator on these
             # decoded arrays — don't validate twice here.
             weak = self.front.pool.predict(
-                [decode_image(e, into=lease) for e in entries],
+                [decode_image(e) for e in entries],
                 timeout=self.front.request_timeout_s,
             )
         except (RequestError, ValueError, ServingError,
                 TimeoutError) as exc:
             self._send_json_envelope(envelope_for(exc))
             return
-        finally:
-            if lease is not None:
-                lease.release()
         self._send_json(200, response_payload(weak))
 
     def _healthz(self, query: dict) -> None:

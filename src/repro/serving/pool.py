@@ -27,14 +27,8 @@ requests with :class:`ServingError` rather than retrying forever.  Workers
 that cannot even start (e.g. the profile was deleted after construction)
 fail startup immediately instead of burning the budget.
 
-Payload transport is a separate axis from the queue topology: with
-``config.ipc_transport`` resolved to ``"shm"`` (the default wherever
-POSIX shared memory works) the queues carry only fixed-size slab
-descriptors while image bytes and feature rows travel through
-shared-memory segments owned by the parent's :class:`~repro.serving.shm.
-ShmArena` — zero-copy for the workers, and reclaimed by the parent on
-task completion, worker death, terminal failure, and shutdown alike.
-``"pickle"`` keeps the original arrays-through-queues reference lane.
+Tasks cross the process boundary as pickled image lists on the worker's
+task queue, and feature rows come back pickled on its result queue.
 
 Queue topology (load-bearing for crash safety): every worker gets its own
 task queue *and* its own result queue, each with exactly one writer and
@@ -74,7 +68,6 @@ from repro.serving.dispatcher import (
     t_images,
 )
 from repro.serving.protocol import coerce_images
-from repro.serving.shm import ShmArena, resolve_ipc_transport
 from repro.serving.worker import worker_main
 
 __all__ = ["ServingPool", "WorkerStatus", "PoolHealth"]
@@ -150,12 +143,6 @@ class ServingPool:
         self._pipeline.reconfigure_engine(self.config.engine_backend,
                                           self.config.engine_dtype)
         self._n_patterns = len(self._pipeline.feature_generator.patterns)
-        # Resolve the IPC transport before any worker exists: an explicit
-        # "shm" on a host without working shared memory is a ValueError
-        # here, not a mid-request surprise.  The arena is parent-owned;
-        # workers only ever attach to its segments.
-        self.ipc_transport = resolve_ipc_transport(self.config.ipc_transport)
-        self._shm_arena = ShmArena() if self.ipc_transport == "shm" else None
         self._ctx = mp.get_context(self.config.start_method)
         self._lock = threading.RLock()
         self._workers: dict[int, _WorkerHandle] = {}
@@ -171,7 +158,6 @@ class ServingPool:
         except BaseException:
             self._terminate_workers()
             self._release_queues()
-            self._release_shm()
             raise
         self._dispatcher = Dispatcher(
             self, self._pipeline.labeler, self._n_patterns,
@@ -327,7 +313,6 @@ class ServingPool:
                 "max_respawns": self.config.max_respawns,
                 "request_timeout_s": self.config.request_timeout_s,
                 "http_backend": self.config.http_backend,
-                "ipc_transport": self.ipc_transport,
             },
         }
         if self._ingest is not None:
@@ -395,8 +380,6 @@ class ServingPool:
                 handle.result_queue.close()
             except (ValueError, OSError):
                 pass
-        # Workers are gone; unlink whatever slabs in-flight work pinned.
-        self._release_shm()
 
     def __enter__(self) -> "ServingPool":
         return self
@@ -524,16 +507,6 @@ class ServingPool:
         """Abandon every task queue (terminal failure / teardown path)."""
         for handle in self._workers.values():
             _discard_queue(handle.task_queue)
-
-    def request_arena(self) -> ShmArena | None:
-        """The shm arena HTTP fronts decode request images into, or ``None``
-        when the pool runs the pickle transport."""
-        return self._shm_arena
-
-    def _release_shm(self) -> None:
-        """Unlink every shm segment (terminal failure / teardown path)."""
-        if self._shm_arena is not None:
-            self._shm_arena.release_all()
 
 
 def _discard_queue(task_queue) -> None:

@@ -148,7 +148,7 @@ def encode_image(array: np.ndarray) -> dict:
     }
 
 
-def decode_image(entry, into=None) -> np.ndarray:
+def decode_image(entry) -> np.ndarray:
     """Decode one wire image (nested list or base64 envelope) to an array.
 
     Raises :class:`RequestError` (code ``bad_request``) on structural
@@ -156,19 +156,6 @@ def decode_image(entry, into=None) -> np.ndarray:
     payloads.  Numeric validation (2-D, non-empty, real-valued) is *not*
     done here; it belongs to :func:`coerce_images` so the message matches
     the in-process path exactly.
-
-    ``into`` is an optional decode target with a ``new_buffer(shape)``
-    method returning a float64 array view (or ``None`` to decline) — in
-    practice a :class:`repro.serving.shm.RequestLease`.  When given, the
-    wire bytes are decoded *and cast* straight into that buffer in one
-    pass, which is what lets the HTTP fronts land request pixels directly
-    in a shared-memory slab: validation (``as_image``) is a no-copy
-    ``asarray`` on float64, and the dispatcher then finds the image
-    already slab-resident instead of re-packing it.  The cast is the same
-    elementwise float64 conversion ``as_image`` performs, so responses
-    are byte-identical with or without a target.  Validation failures
-    behave identically either way; allocation happens only after every
-    structural check passes.
     """
     if isinstance(entry, dict):
         missing = {"data", "shape", "dtype"} - set(entry)
@@ -211,38 +198,19 @@ def decode_image(entry, into=None) -> np.ndarray:
                 f"image data has {len(raw)} bytes but shape {list(shape)} "
                 f"with dtype {dtype.name} needs {expected}",
             )
-        decoded = np.frombuffer(raw, dtype=dtype).reshape(shape)
-        return _into_or(decoded, into)
+        return np.frombuffer(raw, dtype=dtype).reshape(shape)
     if isinstance(entry, list):
         try:
-            decoded = np.asarray(entry)
+            return np.asarray(entry)
         except (TypeError, ValueError) as exc:
             raise RequestError(
                 "bad_request", f"image is not a rectangular array ({exc})"
             ) from exc
-        return _into_or(decoded, into)
     raise RequestError(
         "bad_request",
         "each image must be a nested list of numbers or a base64 envelope "
         f"{{data, shape, dtype}}, got {type(entry).__name__}",
     )
-
-
-def _into_or(decoded: np.ndarray, into) -> np.ndarray:
-    """Land ``decoded`` in ``into``'s float64 buffer, or return it as is.
-
-    Declines (returning ``decoded`` unchanged, exactly the historical
-    behavior) when there is no target, the target has no room, or the
-    decoded dtype is non-numeric — the latter must keep flowing to
-    ``as_image`` so its error message stays transport-identical.
-    """
-    if into is None or decoded.dtype.kind not in _NUMERIC_KINDS:
-        return decoded
-    out = into.new_buffer(decoded.shape)
-    if out is None:
-        return decoded
-    np.copyto(out, decoded, casting="unsafe")
-    return out
 
 
 def parse_label_request(payload) -> list:

@@ -18,17 +18,6 @@ The protocol is deliberately tiny.  Inbound messages on ``task_queue``:
     once per request, which is what makes pool output byte-identical to
     single-process ``predict`` no matter how requests were coalesced,
     split, or spread across workers.
-
-    Under the shm transport the payload is ``("shm", descriptors,
-    result)`` instead of a pickled image list: the worker maps the
-    parent-owned segments (:func:`repro.serving.shm.open_task`, through
-    a per-process :class:`repro.serving.shm.SegmentCache` so recycled
-    segments reuse warm mappings), computes on read-only zero-copy
-    views, writes the rows into the leased result slab, and replies
-    ``("rows", worker_id, task_id, ("shm",))`` — a pure completion
-    signal, no bytes.  The worker never creates or unlinks a segment,
-    so a worker crash cannot leak one; reclamation is entirely the
-    parent's lease bookkeeping.
 ``("ping", ping_id)``
     Health probe; replies ``("pong", worker_id, ping_id)``.
 ``("stop",)``
@@ -71,7 +60,6 @@ def worker_main(
         # Imported here, not at module top: under "spawn"/"forkserver" the
         # child pays numpy/scipy import cost exactly once, at load time.
         from repro.core.pipeline import InspectorGadget
-        from repro.serving import shm as shm_ipc
         from repro.serving.dispatcher import _DEBUG, debug
 
         pipeline = InspectorGadget.load(profile_path)
@@ -88,9 +76,6 @@ def worker_main(
         pipeline.feature_generator.engine.cache_plans = True
         debug(f"worker {worker_id} loaded, reader fd "
               f"{task_queue._reader.fileno()}")
-        # Parent-owned segments recur (the arena pools warm slabs), so
-        # keep their mappings across tasks instead of re-mmapping.
-        seg_cache = shm_ipc.SegmentCache()
         result_queue.put(
             ("ready", worker_id, pid, pipeline.serving_fingerprint())
         )
@@ -102,38 +87,19 @@ def worker_main(
         message = task_queue.get()
         kind = message[0]
         if kind == "stop":
-            seg_cache.close()
             return
         if kind == "ping":
             result_queue.put(("pong", worker_id, message[1]))
             continue
         if kind != "task":  # unknown message: ignore rather than die
             continue
-        _, task_id, payload = message
-        is_shm = isinstance(payload, tuple) and payload and payload[0] == "shm"
-        segments = None
+        _, task_id, images = message
+        if _DEBUG:
+            debug(f"worker {worker_id} got task {task_id} "
+                  f"({len(images)} imgs)")
         try:
-            if is_shm:
-                images, result_view, segments = shm_ipc.open_task(
-                    payload, cache=seg_cache
-                )
-            else:
-                images, result_view = payload, None
-            if _DEBUG:
-                debug(f"worker {worker_id} got task {task_id} "
-                      f"({len(images)} imgs, "
-                      f"{'shm' if is_shm else 'pickle'})")
-            matrix = pipeline.feature_generator.transform_images(list(images))
-            if result_view is not None:
-                result_view[...] = matrix.values
-                reply = ("rows", worker_id, task_id, ("shm",))
-            else:
-                reply = ("rows", worker_id, task_id, matrix.values)
+            matrix = pipeline.feature_generator.transform_images(images)
+            reply = ("rows", worker_id, task_id, matrix.values)
         except Exception:
             reply = ("error", worker_id, task_id, traceback.format_exc())
-        finally:
-            if segments is not None:
-                # Drop every view into the mappings before detaching.
-                images = result_view = matrix = None
-                shm_ipc.close_segments(segments)
         result_queue.put(reply)

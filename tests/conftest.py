@@ -67,7 +67,7 @@ def serving_profile(serving_profile_cache):
 
     Session-scoped, and keyed through :func:`serving_profile_cache` on
     the full config, so every suite spawning pools from this default
-    config — HTTP fronts, shm, ingest, fleet — reuses one fit.
+    config — HTTP fronts, ingest, fleet — reuses one fit.
     """
     from repro.augment.augmenter import AugmentConfig
     from repro.core.config import InspectorGadgetConfig
@@ -81,40 +81,6 @@ def serving_profile(serving_profile_cache):
         seed=0,
     )
     return serving_profile_cache(config)
-
-
-def shm_segments() -> list[str]:
-    """Live ``/dev/shm`` segment names from this package's shm arenas.
-
-    Shared by the shm and fleet suites to assert no cross-suite leakage:
-    each asserts the set is empty at suite entry and exit, so a leak is
-    attributed to the suite that made it, not the one that found it.
-    """
-    import glob
-    import os
-
-    from repro.serving.shm import SEGMENT_PREFIX
-
-    return sorted(
-        os.path.basename(path)
-        for path in glob.glob(f"/dev/shm/{SEGMENT_PREFIX}-*")
-    )
-
-
-@pytest.fixture(scope="module")
-def shm_leak_guard():
-    """Module-scoped cross-suite leak fence around ``/dev/shm``.
-
-    Suites that exercise the shm transport (shm, fleet) opt in with an
-    autouse wrapper: the entry assertion catches segments leaked *into*
-    the suite by whatever ran before it, the exit assertion segments
-    leaked *by* it — so a leak is pinned to the suite that made it.
-    """
-    leaked = shm_segments()
-    assert not leaked, f"segments leaked into this suite: {leaked}"
-    yield shm_segments
-    leaked = shm_segments()
-    assert not leaked, f"this suite leaked segments: {leaked}"
 
 
 @pytest.fixture(scope="session")

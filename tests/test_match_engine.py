@@ -328,9 +328,9 @@ class TestDeterminism:
 class TestBackendDtypeMatrix:
     """Every available backend × working dtype against the float64 naive
     reference, at its dtype's tolerance tier; parametrizing over
-    ``available_backends()`` makes optional backends (torch, cupy) join the
+    ``available_backends()`` makes the optional torch backend join the
     matrix automatically where installed and skip nowhere — a host without
-    them simply has a smaller matrix."""
+    it simply has a smaller matrix."""
 
     @pytest.mark.parametrize("mode", ["exact", "pyramid"])
     @pytest.mark.parametrize("backend,dtype", BACKEND_DTYPE)

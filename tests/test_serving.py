@@ -173,6 +173,43 @@ class TestLifecycle:
             assert health.respawns_left == 1
             assert health.ok
 
+    def test_crash_respawn_resubmits_leased_tasks(
+        self, profile_path, baseline
+    ):
+        """Kill the worker with tasks in flight: the replacement is sent
+        the same image lists and the answer stays byte-identical."""
+        rng = np.random.default_rng(7)
+        frames = [rng.random((120, 120)) for _ in range(8)]
+        expected = baseline.predict(frames).probs.tobytes()
+        with ServingPool(profile_path, workers=1, max_batch=2,
+                         max_wait_ms=0.0, max_respawns=2) as pool:
+            pending = pool.submit(frames)
+            deadline = time.monotonic() + 30
+            while not pool.health().workers[0].outstanding_tasks:
+                assert time.monotonic() < deadline, "nothing dispatched"
+                time.sleep(0.001)
+            assert not pending.done()  # the kill lands on in-flight tasks
+            pool._workers[0].process.kill()
+            served = pending.result(timeout=120).probs.tobytes()
+            assert served == expected
+
+    def test_terminal_failure_reclaims_leases(self, profile_path, images):
+        """Killed with tasks in flight and no respawn budget: the request
+        fails loudly and the pool refuses new work."""
+        rng = np.random.default_rng(8)
+        frames = [rng.random((120, 120)) for _ in range(8)]
+        pool = ServingPool(profile_path, workers=1, max_batch=2,
+                           max_wait_ms=0.0, max_respawns=0)
+        try:
+            pending = pool.submit(frames)
+            pool._workers[0].process.kill()
+            with pytest.raises(ServingError):
+                pending.result(timeout=120)
+            with pytest.raises(ServingError):
+                pool.submit(images[:1])
+        finally:
+            pool.shutdown(drain=False)
+
     def test_respawn_budget_exhaustion_fails_loudly(
         self, profile_path, images
     ):

@@ -16,8 +16,7 @@ member a request must hit — determinism is part of the contract, so the
 tests replay it rather than sampling it.
 
 Like the other pool suites this file spawns real worker processes; it
-runs in CI's fleet-smoke job under both ``REPRO_SERVING_IPC`` lanes with
-warnings-as-errors, fenced by the shm leak guard on both sides.
+runs in CI's fleet-smoke job with warnings-as-errors.
 """
 
 from __future__ import annotations
@@ -54,12 +53,6 @@ from repro.serving.protocol import (
     envelope_for,
     health_payload,
 )
-
-@pytest.fixture(scope="module", autouse=True)
-def _fleet_fence(shm_leak_guard):
-    """Cross-suite fence (shared with the shm suite via conftest): no
-    ``/dev/shm`` segment may leak into this module or out of it."""
-    return shm_leak_guard
 
 
 @pytest.fixture(scope="module")
