@@ -4,10 +4,10 @@ Fits Inspector Gadget on a small synthetic KSDD pool, saves the serving
 profile, then brings up a 2-worker :class:`repro.serving.ServingPool` and
 exercises the product surface: batch and single-image requests (verified
 byte-identical to single-process ``predict``), async submits, health and
-ping, both HTTP front ends — threaded and asyncio — driven by a stdlib
-``urllib`` client (each JSON response asserted equal to in-process
-``predict``, so this example doubles as a transport integration check),
-gzip response negotiation, and a graceful drain/shutdown.  Finishes with
+ping, the HTTP front end driven by a stdlib ``urllib`` client (its JSON
+response asserted equal to in-process ``predict``, so this example
+doubles as a transport integration check) with gzip response
+negotiation, and a graceful drain/shutdown.  Finishes with
 a micro throughput probe so the pool's request pipeline is visible end to
 end.
 
@@ -15,7 +15,7 @@ The same pool is available from the command line::
 
     python -m repro.serving --profile ksdd.igz --workers 2 --images a.npy
     python -m repro.serving --profile ksdd.igz --workers 2 \
-        --http 127.0.0.1:8765 --http-backend asyncio
+        --http 127.0.0.1:8765
 
 Run:  python examples/serving_quickstart.py
 """
@@ -33,7 +33,7 @@ import numpy as np
 from repro import InspectorGadget, InspectorGadgetConfig, make_dataset
 from repro.augment import AugmentConfig
 from repro.crowd import WorkflowConfig
-from repro.serving import ServingPool, serve_http, serve_http_async
+from repro.serving import ServingPool, serve_http
 from repro.serving.protocol import encode_image
 
 
@@ -89,32 +89,12 @@ def run(workdir: Path) -> None:
         # ephemeral port), driven here by a stdlib urllib client.  JSON
         # floats round-trip exactly, so the parsed probabilities must be
         # byte-identical to in-process predict — asserted, which makes
-        # this example an integration check for the transport.
+        # this example an integration check for the transport.  The
+        # client also accepts gzip: large responses come back compressed.
         with serve_http(pool, host="127.0.0.1", port=0) as front:
             body = json.dumps({
                 "images": [encode_image(img) for img in images[:8]],
             }).encode()
-            request = urllib.request.Request(
-                front.url + "/v1/label", data=body, method="POST",
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(request, timeout=120) as resp:
-                answer = json.loads(resp.read())
-            http_probs = np.array(answer["probs"], dtype=np.float64)
-            assert (http_probs.tobytes()
-                    == reference.predict(images[:8]).probs.tobytes())
-            with urllib.request.urlopen(front.url + "/healthz",
-                                        timeout=30) as resp:
-                healthz = json.loads(resp.read())
-            print(f"HTTP at {front.url}: labeled {answer['n_images']} "
-                  "images byte-identical to in-process predict, healthz "
-                  f"ok={healthz['ok']}")
-
-        # Asyncio front end: the high-concurrency backend, same endpoint
-        # surface and byte-identical answers over one event loop instead
-        # of one thread per connection.  Also demonstrate gzip response
-        # negotiation — large responses compress when the client asks.
-        with serve_http_async(pool, host="127.0.0.1", port=0) as front:
             request = urllib.request.Request(
                 front.url + "/v1/label", data=body, method="POST",
                 headers={"Content-Type": "application/json",
@@ -124,12 +104,17 @@ def run(workdir: Path) -> None:
                 encoding = resp.headers.get("Content-Encoding")
                 raw = resp.read()
             payload = gzip.decompress(raw) if encoding == "gzip" else raw
-            aio_probs = np.array(json.loads(payload)["probs"],
-                                 dtype=np.float64)
-            assert aio_probs.tobytes() == http_probs.tobytes()
-            print(f"asyncio HTTP at {front.url}: byte-identical to the "
-                  f"threaded front end, response Content-Encoding="
-                  f"{encoding} ({len(raw)} bytes on the wire)")
+            answer = json.loads(payload)
+            http_probs = np.array(answer["probs"], dtype=np.float64)
+            assert (http_probs.tobytes()
+                    == reference.predict(images[:8]).probs.tobytes())
+            with urllib.request.urlopen(front.url + "/healthz",
+                                        timeout=30) as resp:
+                healthz = json.loads(resp.read())
+            print(f"HTTP at {front.url}: labeled {answer['n_images']} "
+                  "images byte-identical to in-process predict "
+                  f"(Content-Encoding={encoding}, {len(raw)} bytes on the "
+                  f"wire), healthz ok={healthz['ok']}")
 
         # Throughput probe: one pass of the whole pool of images.
         t0 = time.time()

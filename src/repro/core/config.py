@@ -12,7 +12,6 @@ from repro.imaging.pyramid import PyramidMatcher
 __all__ = ["InspectorGadgetConfig", "ServingConfig"]
 
 _START_METHODS = ("spawn", "fork", "forkserver")
-_HTTP_BACKENDS = ("threaded", "asyncio")
 
 
 @dataclass
@@ -55,17 +54,11 @@ class ServingConfig:
     those shapes pays no planning cost.
 
     ``http_host``/``http_port`` are the default bind address of the HTTP
-    front ends (:func:`repro.serving.http.serve_http` and
-    :func:`repro.serving.aio.serve_http_async`); port ``0`` binds an
+    front end (:func:`repro.serving.http.serve_http`); port ``0`` binds an
     ephemeral port, readable back from the front end.  The default host is
     loopback — exposing a pool beyond the machine is an explicit decision
-    (``0.0.0.0``/``::``), not a default.  IPv6 hosts work on both backends
+    (``0.0.0.0``/``::``), not a default.  IPv6 hosts work too
     (``"::1"``; the CLI flag form is ``[::1]:8765``).
-    ``http_backend`` picks the transport implementation: ``"threaded"``
-    (stdlib ``ThreadingHTTPServer``, one thread per connection) or
-    ``"asyncio"`` (:mod:`repro.serving.aio`, one event loop, bounded
-    threads — the high-concurrency choice).  Both serve the identical
-    endpoint surface with byte-identical responses.
 
     ``max_request_bytes`` bounds an HTTP request body; larger requests are
     refused with 413 before being read, so one misbehaving client cannot
@@ -122,7 +115,6 @@ class ServingConfig:
     warmup_shapes: tuple[tuple[int, int], ...] = ()
     http_host: str = "127.0.0.1"
     http_port: int = 8765
-    http_backend: str = "threaded"
     max_request_bytes: int = 64 * 1024 * 1024
     gzip_responses: bool = True
     gzip_min_bytes: int = 512
@@ -184,11 +176,6 @@ class ServingConfig:
             raise ValueError(
                 f"http_port must be in [0, 65535] (0 = ephemeral), "
                 f"got {self.http_port}"
-            )
-        if self.http_backend not in _HTTP_BACKENDS:
-            raise ValueError(
-                f"http_backend must be one of {_HTTP_BACKENDS}, "
-                f"got {self.http_backend!r}"
             )
         if self.max_request_bytes < 1024:
             raise ValueError(

@@ -31,16 +31,14 @@ respawned (in-flight work resubmitted) within a bounded budget.
 Between parent and workers, a task's images and its feature rows are
 pickled through that worker's own task and result queues.
 
-Transports stack on top of the same ``submit``: two HTTP front ends —
-threaded :func:`serve_http` (:mod:`repro.serving.http`) and asyncio
-:func:`serve_http_async` (:mod:`repro.serving.aio`, the high-concurrency
-choice) — expose the pool over TCP for non-Python clients with the
-identical endpoint surface (``POST /v1/label``, ``GET /healthz``,
-``GET /profile``, ``POST /admin/drain``), and the stdin-JSONL daemon
-serves pipelines.  All of them validate requests and shape errors through
-one module (:mod:`repro.serving.protocol`), so a bad request gets the
-same answer — and a good one byte-identical labels — no matter how it
-arrived.  Both HTTP fronts speak gzip for request and response bodies.
+Transports stack on top of the same dispatcher: the HTTP front end
+:func:`serve_http` (:mod:`repro.serving.http`) exposes the pool over TCP
+for non-Python clients (``POST /v1/label``, ``GET /healthz``,
+``GET /profile``, ``POST /admin/drain``, gzip in both directions), and
+the stdin-JSONL daemon serves pipelines.  Both validate requests and
+shape errors through one module (:mod:`repro.serving.protocol`), so a
+bad request gets the same answer — and a good one byte-identical labels
+— no matter how it arrived.
 
 Above single pools, :class:`FleetRouter` (:mod:`repro.serving.fleet`)
 routes requests across N of them — in-process or on other hosts over
@@ -59,7 +57,6 @@ command line (``--images``/``--stdin``/``--http HOST:PORT``, or
 """
 
 from repro.core.config import ServingConfig
-from repro.serving.aio import AsyncHttpFrontEnd, serve_http_async
 from repro.serving.dispatcher import (
     Dispatcher,
     PendingPrediction,
@@ -84,9 +81,7 @@ __all__ = [
     "ServingError",
     "RequestError",
     "HttpFrontEnd",
-    "AsyncHttpFrontEnd",
     "serve_http",
-    "serve_http_async",
     "PoolHealth",
     "WorkerStatus",
     "FleetRouter",

@@ -14,13 +14,11 @@ owning one (see below).  Four mutually exclusive modes:
   Pipe-friendly: a supervisor writes paths, reads responses, and closes
   stdin to stop the daemon.
 * ``--http HOST:PORT`` — TCP daemon: serve the pool over HTTP
-  (:mod:`repro.serving.http` or, with ``--http-backend asyncio``,
-  :mod:`repro.serving.aio` — same endpoints, same bytes; API reference
-  in ``docs/serving.md``).  IPv6 hosts use the bracket form
-  (``[::1]:8765``).  Port ``0`` binds an ephemeral port; the actually
-  bound URL is printed as ``serving HTTP on http://host:port`` on
-  stdout, so a supervisor can parse it.  Runs until ``POST
-  /admin/drain`` (exit 0) or SIGINT.
+  (:mod:`repro.serving.http`; API reference in ``docs/serving.md``).
+  IPv6 hosts use the bracket form (``[::1]:8765``).  Port ``0`` binds
+  an ephemeral port; the actually bound URL is printed as ``serving
+  HTTP on http://host:port`` on stdout, so a supervisor can parse it.
+  Runs until ``POST /admin/drain`` (exit 0) or SIGINT.
 * ``--watch DIR`` — ingestion daemon: tail a watch directory for ``.npy``
   image files and stream verdicts to one or more ``--sink`` targets
   (``jsonl:PATH``/``jsonl:-``, ``csv:PATH``, ``move:DIR``), resuming
@@ -81,7 +79,6 @@ import numpy as np
 from repro.core.artifacts import open_profile_store
 from repro.core.config import ServingConfig
 from repro.core.pipeline import ProfileError
-from repro.serving.aio import serve_http_async
 from repro.serving.dispatcher import ServingError
 from repro.serving.fleet import FleetRouter, HttpMember
 from repro.serving.http import serve_http
@@ -181,14 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --watch: backpressure bound on files "
                              "submitted but not yet verdicted "
                              "(default: 16)")
-    parser.add_argument("--http-backend", default=None,
-                        choices=("threaded", "asyncio"),
-                        help="with --http: transport implementation — "
-                             "threaded (one thread per connection) or "
-                             "asyncio (one event loop; the "
-                             "high-concurrency choice). Responses are "
-                             "byte-identical either way (default: "
-                             "threaded)")
     parser.add_argument("--engine-backend", default=None,
                         help="override the match engine's array backend "
                              "(e.g. numpy, torch; requires the "
@@ -339,14 +328,11 @@ def _run_stdin(pool: ServingPool, out) -> int:
 def _run_http(pool: ServingPool, out) -> int:
     """The HTTP daemon loop: bind, announce, block until drained.
 
-    Host/port and backend come from ``pool.config`` (``main`` parsed the
-    ``--http``/``--http-backend`` flags into it, so both went through
-    ServingConfig validation).  The two backends expose the same front
-    end surface, so everything past the factory call is shared.
+    Host and port come from ``pool.config`` (``main`` parsed the
+    ``--http`` flag into it, so the address went through ServingConfig
+    validation).
     """
-    serve = (serve_http_async if pool.config.http_backend == "asyncio"
-             else serve_http)
-    front = serve(pool)
+    front = serve_http(pool)
     try:
         print(f"serving HTTP on {front.url}", file=out, flush=True)
         try:
@@ -455,8 +441,6 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
             host, port = _parse_host_port(args.http)
             overrides["http_host"] = host
             overrides["http_port"] = port
-        if args.http_backend is not None:
-            overrides["http_backend"] = args.http_backend
         if args.max_request_bytes is not None:
             overrides["max_request_bytes"] = args.max_request_bytes
         if args.request_timeout_s is not None:

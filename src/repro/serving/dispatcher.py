@@ -93,9 +93,9 @@ class PendingPrediction:
 
         Callbacks run on the settling thread — the dispatcher's collect
         loop — so they must be cheap and non-blocking.  This is the
-        no-thread-parked completion hook the asyncio front end uses to hop
-        a settled result onto its event loop instead of burning one
-        waiting thread per in-flight request.
+        no-thread-parked completion hook the ingest controller uses to
+        hand a settled verdict to its writer instead of burning one
+        waiting thread per in-flight file.
         """
         with self._cb_lock:
             if not self._event.is_set():

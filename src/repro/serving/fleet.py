@@ -8,7 +8,7 @@ every pool already speaks the observability surface a router needs
 ``Retry-After`` on 503, ``POST /admin/drain``).  :class:`FleetRouter`
 composes those into a cross-host front::
 
-    clients (predict/submit, HTTP fronts, stdin, ingest)
+    clients (predict, HTTP front, stdin)
          │
          v
     FleetRouter ── admission: every member's serving_fingerprint() equal
@@ -57,18 +57,17 @@ Design rules, in dependency order:
   outage.  ``Retry-After`` from a member's 503 backs off exactly that
   member.
 
-The router duck-types the pool surface the HTTP front ends consume
-(``predict``/``submit``/``health``/``ping``/``drain``/
-``profile_summary``/``profile_bytes``/``ingest_stats``/``config``), so
-:func:`repro.serving.http.serve_http` and
-:func:`repro.serving.aio.serve_http_async` serve a fleet unchanged —
-that is how the CLI's ``--fleet`` mode exposes router-level ``/healthz``
-and ``/profile`` aggregation over either HTTP back end.
+The router duck-types the pool surface the HTTP front end consumes
+(``predict``/``health``/``ping``/``drain``/``profile_summary``/
+``profile_bytes``/``ingest_stats``/``config``), so
+:func:`repro.serving.http.serve_http` serves a fleet unchanged — that
+is how the CLI's ``--fleet`` mode exposes router-level ``/healthz`` and
+``/profile`` aggregation.
 
 Fault-injection coverage lives in ``tests/test_serving_fleet.py``; the
 shared profile store that lets serving hosts pull profiles by
 fingerprint is :class:`repro.core.artifacts.ProfileStore` (served by
-``GET /v1/profiles/<fingerprint>`` on both HTTP fronts).
+``GET /v1/profiles/<fingerprint>`` on the HTTP front end).
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ import numpy as np
 
 from repro.core.config import ServingConfig
 from repro.labeler.weak_labels import WeakLabels
-from repro.serving.dispatcher import PendingPrediction, ServingError, debug
+from repro.serving.dispatcher import ServingError, debug
 from repro.serving.protocol import coerce_images, encode_image
 
 __all__ = [
@@ -205,7 +204,7 @@ class InProcessMember:
 class HttpMember:
     """A fleet member reached over HTTP — a pool on another host.
 
-    Speaks the exact wire protocol of both HTTP front ends
+    Speaks the exact wire protocol of the HTTP front end
     (``docs/serving.md``): label requests POST base64 image envelopes to
     ``/v1/label`` and parse ``probs`` back into float64 — which recovers
     the remote pool's output **byte-identically**, because the wire
@@ -501,40 +500,6 @@ class FleetRouter:
                 self._pending -= 1
                 self._settled.notify_all()
 
-    def submit(self, images) -> PendingPrediction:
-        """Queue a request without blocking; the async sibling of
-        :meth:`predict` (what the asyncio front end calls).
-
-        Validation happens here, synchronously, with the shared
-        validator — a bad request raises ``ValueError`` before any
-        member is contacted, exactly like ``ServingPool.submit``.
-        """
-        images = coerce_images(images)
-        with self._lock:
-            if self._refusing is not None:
-                raise ServingError(
-                    f"fleet router is not accepting requests "
-                    f"({self._refusing})"
-                )
-            self._pending += 1
-        pending = PendingPrediction(len(images))
-
-        def run() -> None:
-            try:
-                pending._resolve(
-                    self._route(images, self.config.request_timeout_s)
-                )
-            except BaseException as exc:  # relayed to the waiter
-                pending._fail(exc)
-            finally:
-                with self._settled:
-                    self._pending -= 1
-                    self._settled.notify_all()
-
-        threading.Thread(target=run, name="fleet-request",
-                         daemon=True).start()
-        return pending
-
     def _route(self, images, timeout: float) -> WeakLabels:
         """One request end to end: rank, attempt, fail over, give up."""
         deadline = time.monotonic() + timeout
@@ -690,8 +655,8 @@ class FleetRouter:
     # -- observability (pool surface) -----------------------------------------
 
     def health(self) -> FleetHealth:
-        """Aggregate fleet health, shaped like :class:`PoolHealth` so both
-        HTTP front ends render it through the shared ``health_payload``.
+        """Aggregate fleet health, shaped like :class:`PoolHealth` so the
+        HTTP front end renders it through the shared ``health_payload``.
         Each member appears as one "worker" row; ``respawns_left``
         reports the per-request retry budget."""
         with self._lock:

@@ -40,17 +40,26 @@ Endpoints (full reference with schemas and a curl walkthrough in
 
 Error contract: every failure is ``{"error": {"code", "message",
 "status"}}`` (:mod:`repro.serving.protocol`), with distinct status codes —
-400 malformed payload, 404 unknown path, 405 wrong method, 408 stalled
-body, 411 missing length, 413 oversized request (raw *or* after gzip
-inflation), 415 unsupported ``Content-Encoding``, 503 draining/failed
-pool (with a ``Retry-After`` header so clients back off), 504 request
-timeout.  One request can never affect another: validation happens before
-``submit`` (a bad image fails only its own request), and each request's
-images are validated by the same :func:`~repro.serving.protocol.
-coerce_images` the in-process and stdin front ends use, so error messages
-match across transports — including the asyncio front end
-(:mod:`repro.serving.aio`), which serves this exact surface through the
-same protocol helpers.
+400 malformed payload or ambiguous framing, 404 unknown path, 405 wrong
+or unknown method, 408 stalled body, 411 missing length, 413 oversized
+request (raw *or* after gzip inflation), 415 unsupported
+``Content-Encoding``, 503 draining/failed pool (with a ``Retry-After``
+header so clients back off), 504 request timeout — and the statuses the
+stdlib request parser refuses with (400 malformed request line, 414
+overlong request line, 431 too many or too long header lines, 505 HTTP/2
+or later) carry the same envelope.  One request can never affect another:
+validation happens before ``submit`` (a bad image fails only its own
+request), and each request's images are validated by the same
+:func:`~repro.serving.protocol.coerce_images` the in-process and stdin
+front ends use, so error messages match across transports.
+
+Framing (RFC 9112 §6.3): a request body is framed by ``Content-Length``
+alone.  Any ``Transfer-Encoding``, a ``Content-Length`` that is not ASCII
+digits, or repeated ``Content-Length`` values that differ answer 400
+before routing, with the body unread and the connection closed.  A
+connection stays open past a request that carried a body only if the
+body was read in full, so leftover bytes are never parsed as a second
+request.
 
 Compression: request bodies may be gzipped (``Content-Encoding: gzip``);
 they are inflated under the same ``max_request_bytes`` budget, so a gzip
@@ -74,6 +83,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -95,6 +105,14 @@ from repro.serving.protocol import (
 
 __all__ = ["HttpFrontEnd", "serve_http"]
 
+# Envelope codes for the statuses the stdlib request parser refuses with.
+_PARSER_CODES = {
+    400: "bad_request",
+    414: "uri_too_long",
+    431: "header_fields_too_large",
+    505: "http_version_not_supported",
+}
+
 
 class _HttpServer(ThreadingHTTPServer):
     """``ThreadingHTTPServer`` with a per-instance address family.
@@ -107,8 +125,6 @@ class _HttpServer(ThreadingHTTPServer):
 
     # TCPServer's default listen backlog is 5 — a burst of concurrent
     # clients connecting at once overflows it and gets connection resets.
-    # Match asyncio.start_server's default (100) so both front ends
-    # tolerate the same connect storms.
     request_queue_size = 100
 
     def __init__(self, address, handler, family=socket.AF_INET):
@@ -270,8 +286,7 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"  # keep-alive; responses carry Content-Length
     # TCP_NODELAY: headers and body go out as two writes, and with Nagle
     # on, the body write stalls behind the client's delayed ACK (~40 ms
-    # per response on a keep-alive connection).  asyncio transports set
-    # this by default; match it.
+    # per response on a keep-alive connection).
     disable_nagle_algorithm = True
 
     @property
@@ -289,6 +304,50 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         debug(f"http {self.address_string()} {format % args}")
+
+    # -- framing --------------------------------------------------------------
+
+    def parse_request(self) -> bool:
+        """The stdlib parse, then the framing rules of the module docstring.
+
+        A request that carries a body closes its connection unless
+        :meth:`_read_body` reads that body in full.
+        """
+        if not super().parse_request():
+            return False
+        self._keep_alive = not self.close_connection
+        try:
+            self._body_length = _content_length(self.headers)
+        except ValueError as exc:
+            self.close_connection = True
+            self._send_error_envelope(400, "bad_request", str(exc))
+            return False
+        if self._body_length:
+            self.close_connection = True
+        return True
+
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        """Answer the stdlib's own refusals with the JSON envelope.
+
+        ``BaseHTTPRequestHandler`` calls this for an unknown method (501,
+        answered 405 here) and from its request parser (400, 414, 431,
+        505), possibly before a request version is known, when it would
+        answer as HTTP/0.9 with no status line.  The envelope always goes
+        out as HTTP/1.1, uncompressed (the headers may be unparsed), and
+        the connection closes.
+        """
+        self.request_version = self.protocol_version
+        self.close_connection = True
+        if code == HTTPStatus.NOT_IMPLEMENTED:
+            code, slug = 405, "method_not_allowed"
+            text = f"unsupported method {self.command}"
+        else:
+            slug = _PARSER_CODES.get(code, "bad_request")
+            text = message or HTTPStatus(code).phrase
+            if explain:
+                text = f"{text} ({explain})"
+        self._send_error_envelope(code, slug, text, gzip_ok=False)
 
     # -- routes ---------------------------------------------------------------
 
@@ -311,22 +370,18 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def do_POST(self) -> None:  # noqa: N802
+        # Refusals answer without reading the body; parse_request has
+        # already marked a connection that carries one to close.
         path = urlparse(self.path).path
         if path == "/v1/label":
             self._label()
         elif path == "/admin/drain":
             self._drain()
         elif path in ("/healthz", "/profile"):
-            # Responding without reading the POST body: close the
-            # connection so the unread bytes cannot poison keep-alive
-            # framing (the next request would parse them as its request
-            # line).  Same below and on every refused-unread path.
-            self.close_connection = True
             self._send_error_envelope(
                 405, "method_not_allowed", f"use GET for {path}"
             )
         else:
-            self.close_connection = True
             self._send_error_envelope(
                 404, "not_found", f"unknown path {path!r}"
             )
@@ -336,9 +391,6 @@ class _Handler(BaseHTTPRequestHandler):
     def _label(self) -> None:
         refusing = self.front.refusing()
         if refusing is not None:
-            # Refused without reading the body: close the connection so
-            # the unread bytes cannot poison keep-alive framing.
-            self.close_connection = True
             self._send_error_envelope(
                 503, "unavailable",
                 f"serving pool is not accepting requests ({refusing})",
@@ -395,7 +447,7 @@ class _Handler(BaseHTTPRequestHandler):
         (:class:`repro.core.artifacts.HttpProfileStore`).  The body is
         the profile's bytes verbatim — already gzip-framed by
         ``InspectorGadget.save`` — so it is served as octet-stream with
-        no transport compression on either HTTP front end.
+        no transport compression.
         """
         payload = self.front.pool.profile_bytes(fingerprint)
         if payload is None:
@@ -448,12 +500,13 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_body(self, allow_empty: bool = False) -> bytes | None:
         """Read the request body within the size budget, or send the error.
 
-        Returns ``None`` after answering 411 (no Content-Length) or 413
-        (over ``max_request_bytes``); the connection is closed in both
-        cases because the unread body would poison keep-alive framing.
+        Returns ``None`` after answering 411 (no Content-Length), 413
+        (over ``max_request_bytes``, left unread) or 408 (stalled body);
+        each closes the connection.  A body read in full restores the
+        keep-alive the client asked for.
         """
-        header = self.headers.get("Content-Length")
-        if header is None:
+        length = self._body_length
+        if length is None:
             if allow_empty:
                 return b""
             self.close_connection = True
@@ -462,19 +515,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "request must carry a Content-Length header",
             )
             return None
-        try:
-            length = int(header)
-            if length < 0:
-                raise ValueError
-        except ValueError:
-            self.close_connection = True
-            self._send_error_envelope(
-                400, "bad_request",
-                f"invalid Content-Length {header!r}",
-            )
-            return None
         if length > self.front.max_request_bytes:
-            self.close_connection = True
             self._send_error_envelope(
                 413, "payload_too_large",
                 f"request body of {length} bytes exceeds the limit of "
@@ -488,19 +529,18 @@ class _Handler(BaseHTTPRequestHandler):
             # The client stalled mid-body (socket timeout from setup()).
             # The read side is dead but the write side usually is not;
             # try to say why before dropping the connection.
-            self.close_connection = True
             self._send_error_envelope(
                 408, "request_timeout",
                 f"request body not received within "
                 f"{self.front.request_timeout_s}s",
             )
             return None
+        self.close_connection = not self._keep_alive
         try:
-            # Shared with the asyncio front end: identity passthrough,
-            # gzip inflated under the same max_request_bytes budget (a
-            # gzip bomb answers 413 without ever being fully inflated),
-            # anything else 415.  The body was fully read, so keep-alive
-            # framing is intact — no connection close on these errors.
+            # Identity passthrough, gzip inflated under the same
+            # max_request_bytes budget (a gzip bomb answers 413 without
+            # ever being fully inflated), anything else 415.  The body
+            # was fully read, so keep-alive framing is intact.
             return decompress_body(
                 raw, self.headers.get("Content-Encoding"),
                 self.front.max_request_bytes,
@@ -509,10 +549,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json_envelope(envelope_for(exc))
             return None
 
-    def _send_json(self, status: int, payload: dict) -> None:
+    def _send_json(self, status: int, payload: dict,
+                   gzip_ok: bool = True) -> None:
         body = json.dumps(payload).encode("utf-8")
         encoding = None
-        if (self.front.gzip_responses
+        if (gzip_ok and self.front.gzip_responses
                 and len(body) >= self.front.gzip_min_bytes
                 and accepts_gzip(self.headers.get("Accept-Encoding"))):
             body = gzip_body(body, level=self.front.gzip_level)
@@ -526,7 +567,7 @@ class _Handler(BaseHTTPRequestHandler):
         if retry_after is not None:
             self.send_header("Retry-After", str(retry_after))
         if self.close_connection:
-            # Refused-unread paths close the connection (see _read_body);
+            # Refused-unread paths close the connection (parse_request);
             # advertise it so keep-alive clients don't retry into a
             # half-closed socket.
             self.send_header("Connection", "close")
@@ -536,6 +577,34 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json_envelope(self, envelope: dict) -> None:
         self._send_json(envelope["error"]["status"], envelope)
 
-    def _send_error_envelope(self, status: int, code: str,
-                             message: str) -> None:
-        self._send_json(status, error_envelope(code, message, status))
+    def _send_error_envelope(self, status: int, code: str, message: str,
+                             gzip_ok: bool = True) -> None:
+        self._send_json(status, error_envelope(code, message, status),
+                        gzip_ok=gzip_ok)
+
+
+def _content_length(headers) -> int | None:
+    """The request body's length under RFC 9112 §6.3, ``None`` if absent.
+
+    Raises ``ValueError`` with the client-facing message when the length
+    is ambiguous: any ``Transfer-Encoding`` (no chunked bodies are read
+    here, and one beside a ``Content-Length`` is a smuggling vector), a
+    ``Content-Length`` that is not ASCII digits (``int`` would take
+    ``+2`` or ``1_0``), or repeated values that differ.
+    """
+    if "Transfer-Encoding" in headers:
+        raise ValueError(
+            "Transfer-Encoding is not supported; send the body with a "
+            "Content-Length header"
+        )
+    lengths = set()
+    for value in headers.get_all("Content-Length", ()):
+        value = value.strip(" \t")
+        if not (value.isascii() and value.isdigit()):
+            raise ValueError(f"invalid Content-Length {value!r}")
+        lengths.add(int(value))
+    if len(lengths) > 1:
+        raise ValueError(
+            f"conflicting Content-Length values {sorted(lengths)}"
+        )
+    return lengths.pop() if lengths else None

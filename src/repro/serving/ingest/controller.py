@@ -86,7 +86,7 @@ class IngestController:
     The controller attaches itself to the pool
     (:meth:`~repro.serving.pool.ServingPool.attach_ingest`), which is how
     ``GET /healthz`` and ``GET /profile`` surface live ingest counters on
-    both HTTP front ends without transport-specific wiring.
+    the HTTP front end without transport-specific wiring.
     """
 
     def __init__(self, pool, watch_dir, sinks: list[Sink],

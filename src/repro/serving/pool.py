@@ -15,10 +15,9 @@ plans (``config.warmup_shapes``), and blocks until every worker reports
 ready.  Requests then flow through the :class:`~repro.serving.dispatcher.
 Dispatcher`'s micro-batching; :meth:`health` and :meth:`ping` observe the
 pool; :meth:`drain` stops intake and waits for in-flight work; and
-:meth:`shutdown` (or the context manager) tears everything down.  Two HTTP
-front ends can sit on top — the threaded :mod:`repro.serving.http` and the
-asyncio :mod:`repro.serving.aio` — both speaking the same wire protocol
-over the same ``submit`` seam, selected by ``config.http_backend``.
+:meth:`shutdown` (or the context manager) tears everything down.  The
+HTTP front end (:mod:`repro.serving.http`) sits on top of
+:meth:`predict`.
 
 A worker that dies mid-flight is replaced automatically — its in-flight
 tasks are resubmitted to the replacement — at most ``config.max_respawns``
@@ -261,7 +260,7 @@ class ServingPool:
 
         Called by :class:`~repro.serving.ingest.controller.
         IngestController` on construction.  Attachment is purely for
-        observability: it is how both HTTP front ends surface live ingest
+        observability: it is how the HTTP front end surfaces live ingest
         counters on ``GET /healthz`` and the wiring on ``GET /profile``
         without transport-specific plumbing.
         """
@@ -312,7 +311,6 @@ class ServingPool:
                 "max_wait_ms": self.config.max_wait_ms,
                 "max_respawns": self.config.max_respawns,
                 "request_timeout_s": self.config.request_timeout_s,
-                "http_backend": self.config.http_backend,
             },
         }
         if self._ingest is not None:

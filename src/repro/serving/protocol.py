@@ -22,8 +22,8 @@ no matter how it arrived (pinned by a message-equality test in
   the ``/healthz`` body.  Python's ``json`` serializes floats with
   shortest-round-trip ``repr``, so a client that parses them back into
   float64 recovers the pool's output **byte-identically** — and because
-  both HTTP front ends build their payloads here, their response bodies
-  are byte-identical to each other too.
+  the HTTP front end and the fleet router's members build their payloads
+  here, a routed response is byte-identical to a direct one.
 * :func:`decompress_body` / :func:`accepts_gzip` / :func:`gzip_body` —
   the one gzip seam for every transport: request bodies arrive with
   ``Content-Encoding: gzip`` (bounded by ``max_request_bytes`` *before*
@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 # Seconds a 503 response tells well-behaved clients to back off before
-# retrying (the Retry-After header, sent by both HTTP front ends): long
+# retrying (the Retry-After header, sent by the HTTP front end): long
 # enough that a draining pool is not hammered on its way down, short
 # enough that a respawning pool is retried promptly.
 RETRY_AFTER_S = 5
@@ -75,7 +75,7 @@ RETRY_AFTER_S = 5
 def retry_after_for(status: int) -> int | None:
     """The ``Retry-After`` seconds for a response status, or ``None``.
 
-    The one place the backoff policy lives: both HTTP front ends call
+    The one place the backoff policy lives: the HTTP front end calls
     this when emitting a response (only 503 — pool draining or
     respawning — carries the header today), and the ingest retry loop
     uses the same value to pace its re-submits, so an in-process
@@ -368,8 +368,8 @@ def gzip_body(body: bytes, level: int = 6) -> bytes:
     """Gzip a response body deterministically (``mtime=0``).
 
     Pinning the gzip header timestamp keeps compressed response bytes a
-    pure function of the payload, so the two HTTP front ends stay
-    byte-identical even when responding compressed.
+    pure function of the payload, so equal requests get byte-identical
+    answers even when responding compressed.
     """
     return _gzip.compress(body, compresslevel=level, mtime=0)
 
@@ -377,10 +377,11 @@ def gzip_body(body: bytes, level: int = 6) -> bytes:
 def health_payload(health, draining: bool, ingest: dict | None = None) -> dict:
     """The ``GET /healthz`` body for one pool health snapshot.
 
-    Shared by both HTTP front ends so their health responses are built —
-    and serialize — identically; ``health`` is a
-    :class:`~repro.serving.pool.PoolHealth`.  ``ingest``, when the pool
-    has a watch-folder controller attached, is its live counter snapshot
+    Shared by the HTTP front end over a pool and over a fleet router, so
+    both health responses are built — and serialize — identically;
+    ``health`` is a :class:`~repro.serving.pool.PoolHealth`.  ``ingest``,
+    when the pool has a watch-folder controller attached, is its live
+    counter snapshot
     (:meth:`~repro.serving.ingest.controller.IngestController.stats`) and
     appears under an ``"ingest"`` key; pools without ingestion omit the
     key entirely, keeping existing consumers unaffected.

@@ -1,8 +1,8 @@
 """Property-style tests of the serving wire protocol.
 
 :mod:`repro.serving.protocol` is the one seam every transport shares —
-threaded HTTP, asyncio HTTP, stdin JSONL, and the fleet router all
-validate, encode, and shape errors through it.  This suite pins that
+HTTP, stdin JSONL, and the fleet router all validate, encode, and shape
+errors through it.  This suite pins that
 seam from two directions:
 
 * **Generative round-trips** (hypothesis): ``encode_image`` ↔
@@ -15,10 +15,9 @@ seam from two directions:
   *are* API (clients switch on them, and the transport-equality tests
   below compare them byte for byte).
 * **Cross-transport error identity**: the same malformed request sent
-  to the threaded front end, the asyncio front end, and a threaded
-  front end serving a :class:`FleetRouter` must yield byte-identical
-  error bodies.  One pool backs all three, so any divergence is the
-  transport's fault.
+  to the HTTP front end over a pool and to one serving a
+  :class:`FleetRouter` over that pool must yield byte-identical error
+  bodies, so any divergence is the router's fault.
 
 The cross-transport class spawns a real pool (seconds); CI runs this
 file in the fleet-smoke job, not the fast matrix.
@@ -37,7 +36,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.serving import ServingError, ServingPool, serve_http
-from repro.serving.aio import serve_http_async
 from repro.serving.fleet import FleetRouter, InProcessMember
 from repro.serving.protocol import (
     RETRY_AFTER_S,
@@ -239,8 +237,8 @@ class TestMalformedCorpora:
             assert retry_after_for(status) is None
 
 
-# One request corpus, three transports: each case is (method, path,
-# body bytes, headers).  Bodies that are structurally broken at every
+# One request corpus, two paths: each case is (method, path, body
+# bytes, headers).  Bodies that are structurally broken at every
 # layer of the stack — transport framing, JSON, envelope, validation.
 _WIRE_CORPUS = [
     ("POST", "/v1/label", b"{", {}),
@@ -257,6 +255,7 @@ _WIRE_CORPUS = [
     ("GET", "/v1/label", None, {}),
     ("GET", "/nope", None, {}),
     ("POST", "/healthz", b"{}", {}),
+    ("PUT", "/v1/label", b"{}", {}),
 ]
 
 
@@ -282,19 +281,17 @@ class TestCrossTransportErrorIdentity:
             yield pool
 
     def test_error_bodies_identical_across_transports(self, pool):
-        """threaded front, asyncio front, and threaded-front-over-router
-        answer every corpus case with byte-identical error bodies."""
+        """The front over the pool and the front over a router answer
+        every corpus case with byte-identical error bodies."""
         router = FleetRouter([InProcessMember(pool)],
                              fleet_probe_interval_s=5.0)
         with router, \
-                serve_http(pool, port=0) as threaded, \
-                serve_http_async(pool, port=0) as aio, \
+                serve_http(pool, port=0) as direct, \
                 serve_http(router, port=0) as routed:
             for case in _WIRE_CORPUS:
                 answers = {
                     name: _exchange(front.url, *case)
-                    for name, front in [("threaded", threaded),
-                                        ("asyncio", aio),
+                    for name, front in [("pool", direct),
                                         ("router", routed)]
                 }
                 statuses = {name: a[0] for name, a in answers.items()}
@@ -307,7 +304,7 @@ class TestCrossTransportErrorIdentity:
 
     def test_timeout_message_identical_through_router(self, pool):
         """The 504 text is pinned to the pool's own wording on every
-        path (the aio suite pins threaded == asyncio already)."""
+        path (``test_serving_http`` pins it over the wire)."""
         router = FleetRouter([InProcessMember(pool)],
                              fleet_probe_interval_s=5.0,
                              fleet_retry_limit=0)

@@ -38,7 +38,6 @@ from repro.core.artifacts import (
 )
 from repro.core.pipeline import InspectorGadget
 from repro.serving import ServingError, ServingPool, serve_http
-from repro.serving.aio import serve_http_async
 from repro.serving.fleet import (
     FleetRouter,
     HttpMember,
@@ -265,16 +264,6 @@ class TestRouting:
                 before = member_row(router, winner)["served"]
                 router.predict([image])
                 assert member_row(router, winner)["served"] == before + 1
-
-    def test_submit_is_the_async_sibling_of_predict(
-        self, pool_a, pool_b, baseline, images
-    ):
-        with make_router(InProcessMember(pool_a),
-                         InProcessMember(pool_b)) as router:
-            pending = [router.submit([image]) for image in images]
-            for image, handle in zip(images, pending):
-                expected = baseline.predict([image]).probs.tobytes()
-                assert handle.result(timeout=120).probs.tobytes() == expected
 
     def test_validation_errors_propagate_unretried(self, pool_a, pool_b):
         """A 400-shaped request is the request's fault: every member
@@ -507,17 +496,15 @@ class TestHttpFleet:
                 [images[i % len(images)]]).probs.tobytes()
             assert got == expected
 
-    @pytest.mark.parametrize("factory", [serve_http, serve_http_async],
-                             ids=["threaded", "asyncio"])
-    def test_router_served_behind_both_http_fronts(
-        self, factory, pool_a, pool_b, baseline, images, serving_profile
+    def test_router_served_behind_the_http_front(
+        self, pool_a, pool_b, baseline, images, serving_profile
     ):
-        """The router duck-types the pool surface, so both HTTP fronts
-        serve a fleet unchanged: label byte-identity, aggregated
+        """The router duck-types the pool surface, so the HTTP front
+        serves a fleet unchanged: label byte-identity, aggregated
         /healthz and /profile, the profiles endpoint proxied through."""
         router = make_router(InProcessMember(pool_a),
                              InProcessMember(pool_b))
-        with router, factory(router, port=0) as front:
+        with router, serve_http(router, port=0) as front:
             url = front.url
             body = json.dumps(
                 {"images": [encode_image(images[0])]}).encode()

@@ -1,6 +1,6 @@
 """Tests for the HTTP serving front end (and transport-shared protocol).
 
-Three contracts layered over the pool's own guarantees:
+Four contracts layered over the pool's own guarantees:
 
 1. **Byte-identity over the wire** — for worker counts {1, 2, 4}, concurrent
    HTTP clients each get response probabilities that parse back into float64
@@ -10,10 +10,14 @@ Three contracts layered over the pool's own guarantees:
    in-process callers.
 2. **Error envelopes** — every failure is ``{"error": {code, message,
    status}}`` with distinct status codes per failure class (400 malformed,
-   404/405 routing, 411 missing length, 413 oversized, 503 unavailable),
-   and a given bad input produces the *same* message through HTTP and the
+   404/405 routing, 411 missing length, 413 oversized, 503 unavailable,
+   504 timeout), the stdlib request parser's own refusals included, and a
+   given bad input produces the *same* message through HTTP and the
    stdin-JSONL daemon (one validator: ``repro.serving.protocol``).
-3. **Drain semantics** — ``POST /admin/drain`` completes every in-flight
+3. **Framing** — a request whose body length is ambiguous (RFC 9112
+   §6.3) gets exactly one 400 and a closed connection, so no byte of it
+   is ever served as a second request; keep-alive holds otherwise.
+4. **Drain semantics** — ``POST /admin/drain`` completes every in-flight
    request (byte-identically) before reporting drained, refuses new label
    requests with 503, and keeps observability endpoints alive.
 
@@ -45,7 +49,7 @@ from repro.serving.protocol import encode_image, format_base_url
 
 @pytest.fixture(scope="module")
 def profile_path(serving_profile):
-    """The session-shared fitted profile (also used by the asyncio suite)."""
+    """The session-shared fitted profile."""
     return serving_profile
 
 
@@ -89,6 +93,44 @@ def request_json(url: str, method: str = "GET", payload=None,
 
 def probs_of(response: dict) -> bytes:
     return np.array(response["probs"], dtype=np.float64).tobytes()
+
+
+def raw_exchange(front, raw: bytes) -> bytes:
+    """Send ``raw`` on a fresh connection; every byte the server sends
+    back until it closes the connection."""
+    chunks = []
+    with socket.create_connection(front.address, timeout=30) as sock:
+        sock.sendall(raw)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break  # closed with bytes of ours still unread
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class _Replay(io.BytesIO):
+    """Captured server bytes, fed to ``http.client``'s response parser."""
+
+    def makefile(self, *args):
+        return self
+
+    def close(self) -> None:
+        pass  # the parser closes its file after each body
+
+
+def parse_responses(raw: bytes) -> list:
+    """Every HTTP response in ``raw``: (response, JSON body) pairs."""
+    replay = _Replay(raw)
+    responses = []
+    while replay.tell() < len(raw):
+        resp = http.client.HTTPResponse(replay)
+        resp.begin()
+        responses.append((resp, json.loads(resp.read())))
+    return responses
 
 
 class TestByteIdentity:
@@ -155,6 +197,33 @@ class TestByteIdentity:
         conf = np.array(resp["confidence"], dtype=np.float64)
         assert conf.tobytes() == expected.confidence.tobytes()
 
+    def test_keep_alive_serves_sequential_requests(self, served, images,
+                                                   baseline):
+        """One connection, three label requests: the connection stays
+        open and each answer is the same bytes, byte-identical to
+        single-process predict."""
+        _, front = served
+        host, port = front.address
+        expected = baseline.predict([images[0]]).probs.tobytes()
+        body = json.dumps({"image": images[0].tolist()}).encode()
+        conn = http.client.HTTPConnection(host, port, timeout=120)
+        try:
+            answers, sockets = [], []
+            for _ in range(3):
+                conn.request("POST", "/v1/label", body=body,
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                assert resp.status == 200
+                assert resp.getheader("Connection") is None
+                answers.append(resp.read())
+                sockets.append(conn.sock)
+        finally:
+            conn.close()
+        assert sockets[0] is not None
+        assert sockets == [sockets[0]] * 3
+        assert answers == [answers[0]] * 3
+        assert probs_of(json.loads(answers[0])) == expected
+
 
 class TestObservability:
     def test_healthz(self, served):
@@ -200,8 +269,11 @@ class TestObservability:
         )
         assert resp["n_classes"] == 2
         assert resp["tuning"] is None  # profile was fitted with tune=False
-        assert resp["pool"]["workers"] == 2
-        assert resp["pool"]["max_batch"] == 4
+        assert resp["pool"] == {
+            "workers": 2, "max_batch": 4, "max_wait_ms": 2.0,
+            "max_respawns": pool.config.max_respawns,
+            "request_timeout_s": pool.config.request_timeout_s,
+        }
 
 
 class TestErrorEnvelopes:
@@ -351,6 +423,148 @@ class TestErrorEnvelopes:
             "malformed": 400, "not_found": 404,
             "method": 405, "oversized": 413,
         }
+
+    def test_timeout_is_504_with_the_pools_message(self, served):
+        """A request that cannot finish inside request_timeout_s answers
+        504 carrying the pool's own TimeoutError text."""
+        pool, _ = served
+        rng = np.random.default_rng(0)
+        # The probe request itself is tiny (no 408 risk from a slow body
+        # write); it times out because FIFO dispatch queues it behind
+        # several seconds of primer work submitted in-process first.
+        big = [rng.random((768, 768)) for _ in range(4)]
+        payload = {"image": rng.random((32, 32)).tolist()}
+        try:
+            primers = [pool.submit(big) for _ in range(6)]
+            with serve_http(pool, host="127.0.0.1", port=0,
+                            request_timeout_s=0.05) as front:
+                status, resp = request_json(front.url + "/v1/label",
+                                            "POST", payload=payload)
+        finally:
+            # The timed-out request keeps computing in the pool; let
+            # everything settle so later tests see a quiet pool.
+            deadline = time.monotonic() + 120
+            while (pool.health().pending_requests > 0
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+        assert all(handle.done() for handle in primers)
+        assert status == 504
+        assert resp == {"error": {
+            "code": "timeout",
+            "message": "serving request not completed within 0.05s",
+            "status": 504,
+        }}
+
+
+_SMUGGLED = (b"GET /smuggled HTTP/1.1\r\nHost: x\r\n"
+             b"Connection: close\r\n\r\n")
+
+
+class TestFraming:
+    """RFC 9112 §6.3: a request whose body length is ambiguous is refused
+    before routing, with its body unread and its connection closed, so
+    no byte of it is ever served as a second request (here, the trailing
+    ``GET /smuggled``)."""
+
+    AMBIGUOUS = [
+        ("chunked_beside_length",
+         b"POST /v1/label HTTP/1.1\r\nHost: x\r\n"
+         b"Transfer-Encoding: chunked\r\nContent-Length: 2\r\n\r\n{}"
+         + _SMUGGLED, "Transfer-Encoding is not supported"),
+        ("chunked_get",
+         b"GET /profile HTTP/1.1\r\nHost: x\r\n"
+         b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n" + _SMUGGLED,
+         "Transfer-Encoding is not supported"),
+        ("conflicting_lengths",
+         b"POST /v1/label HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n"
+         b"Content-Length: %d\r\n\r\n{}" % (2 + len(_SMUGGLED))
+         + _SMUGGLED, "conflicting Content-Length values"),
+        ("signed_length",
+         b"POST /v1/label HTTP/1.1\r\nHost: x\r\nContent-Length: +2\r\n"
+         b"\r\n{}" + _SMUGGLED, "invalid Content-Length '+2'"),
+        ("underscored_length",
+         b"POST /v1/label HTTP/1.1\r\nHost: x\r\nContent-Length: 1_0\r\n"
+         b'\r\n{"x": 12}\n' + _SMUGGLED, "invalid Content-Length '1_0'"),
+    ]
+
+    @pytest.mark.parametrize("name,raw,message", AMBIGUOUS,
+                             ids=[case[0] for case in AMBIGUOUS])
+    def test_ambiguous_length_gets_one_400_and_a_close(self, served, name,
+                                                       raw, message):
+        _, front = served
+        responses = parse_responses(raw_exchange(front, raw))
+        assert len(responses) == 1, [r.status for r, _ in responses]
+        resp, payload = responses[0]
+        assert resp.status == 400
+        assert resp.getheader("Connection") == "close"
+        assert payload["error"]["code"] == "bad_request"
+        assert message in payload["error"]["message"]
+
+    def test_body_on_a_bodiless_route_answers_then_closes(self, served):
+        _, front = served
+        raw = (b"GET /profile HTTP/1.1\r\nHost: x\r\n"
+               b"Content-Length: %d\r\n\r\n" % len(_SMUGGLED) + _SMUGGLED)
+        responses = parse_responses(raw_exchange(front, raw))
+        assert len(responses) == 1, [r.status for r, _ in responses]
+        resp, payload = responses[0]
+        assert resp.status == 200
+        assert resp.getheader("Connection") == "close"
+        assert "fingerprint" in payload
+
+    def test_repeated_equal_lengths_are_one_length(self, served):
+        """RFC 9112 lets a recipient take repeated identical values as
+        one; the body is read and the pipelined request is served."""
+        _, front = served
+        raw = (b"POST /v1/label HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n"
+               b"Content-Length: 2\r\n\r\n{}" + _SMUGGLED)
+        responses = parse_responses(raw_exchange(front, raw))
+        assert [(r.status, body["error"]["code"])
+                for r, body in responses] \
+            == [(400, "bad_request"), (404, "not_found")]
+        assert responses[0][0].getheader("Connection") is None
+
+
+class TestParserRefusals:
+    """The stdlib request parser's own refusals answer as HTTP/1.1 with
+    the JSON envelope and a closed connection, like every other error."""
+
+    CASES = [
+        ("unknown_method",
+         b"PUT /v1/label HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}",
+         405, "method_not_allowed", "unsupported method PUT"),
+        ("garbage_request_line", b"GARBAGE\r\n\r\n",
+         400, "bad_request", "GARBAGE"),
+        ("http2_request_line", b"GET /healthz HTTP/2.0\r\n\r\n",
+         505, "http_version_not_supported", "2.0"),
+        ("too_many_headers",
+         b"GET /profile HTTP/1.1\r\n"
+         + b"".join(b"X-Probe-%d: y\r\n" % i for i in range(101))
+         + b"\r\n", 431, "header_fields_too_large", "100 headers"),
+    ]
+
+    @pytest.mark.parametrize("name,raw,status,code,message", CASES,
+                             ids=[case[0] for case in CASES])
+    def test_refusal_is_an_envelope(self, served, name, raw, status, code,
+                                    message):
+        _, front = served
+        responses = parse_responses(raw_exchange(front, raw))
+        assert len(responses) == 1
+        resp, payload = responses[0]
+        assert resp.version == 11
+        assert resp.status == status
+        assert resp.getheader("Content-Type") == "application/json"
+        assert resp.getheader("Connection") == "close"
+        assert payload["error"]["code"] == code
+        assert payload["error"]["status"] == status
+        assert message in payload["error"]["message"]
+
+
+class TestBindErrors:
+    def test_port_collision_raises_oserror(self, served):
+        pool, front = served
+        host, port = front.address
+        with pytest.raises(OSError):
+            serve_http(pool, host=host, port=port)
 
 
 class TestDrain:
@@ -519,7 +733,7 @@ def _ipv6_loopback_available() -> bool:
 
 
 class TestHostPortParsing:
-    """cli._parse_host_port: the one HOST:PORT parser both backends share."""
+    """cli._parse_host_port: the one HOST:PORT parser of ``--http``."""
 
     @pytest.mark.parametrize("value,expected", [
         ("127.0.0.1:8765", ("127.0.0.1", 8765)),

@@ -18,7 +18,7 @@ The properties that make continuous ingestion trustworthy:
    only a complete ``.npy`` renamed in skips it, on its inotify rename
    proof), poison files are quarantined after N attempts instead of
    wedging the loop, and the live counters surface through the same
-   ``health_payload``/``profile_summary`` seams both HTTP fronts share.
+   ``health_payload``/``profile_summary`` seams the HTTP front uses.
 
 Pool-backed tests spawn real worker processes, so this file lives in the
 serving lane (CI's serving-smoke job), not the fast matrix.
@@ -866,7 +866,7 @@ class TestEndToEnd:
 
     def test_observability_wiring(self, shared_pool, images, tmp_path):
         """Counters flow through pool.ingest_stats into the shared
-        health/profile payload builders both HTTP fronts use."""
+        health/profile payload builders the HTTP front uses."""
         watch = tmp_path / "watch"
         watch.mkdir()
         drop(watch, "img.npy", images[0])
