@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from repro.augment.augmenter import AugmentConfig
 from repro.crowd.workflow import WorkflowConfig
-from repro.imaging.backend import WORKING_DTYPES
 from repro.imaging.pyramid import PyramidMatcher
 
 __all__ = ["InspectorGadgetConfig", "ServingConfig"]
@@ -19,18 +18,9 @@ class ServingConfig:
     """Deployment knobs for the multi-process serving pool.
 
     This is a *runtime* slice: none of these settings participate in
-    fitting, fingerprinting or the saved profile.  With one deliberate
-    exception, none of them can change predictions — the pool's output is
-    byte-identical to single-process ``predict`` for any value of any knob
-    here.  The exception is the pair of engine overrides below:
-    ``engine_backend`` / ``engine_dtype`` re-route the match engine's FFT
-    transforms through a different array backend or working precision *at
-    serve time* (``None``, the default, keeps whatever the profile was
-    trained with).  Overriding moves scores by FFT round-off (float32 is
-    bounded by the ~1e-4 equivalence lane), so the byte-identity guarantee
-    becomes per-(backend, dtype): the pool is still byte-identical to a
-    single-process ``predict`` running under the *same* override, for any
-    worker count or batching.
+    fitting, fingerprinting or the saved profile, and none of them can
+    change predictions — the pool's output is byte-identical to
+    single-process ``predict`` for any value of any knob here.
 
     ``workers`` is the number of worker processes, each loading the
     profile once.  The dispatcher coalesces waiting requests into
@@ -63,12 +53,7 @@ class ServingConfig:
     ``max_request_bytes`` bounds an HTTP request body; larger requests are
     refused with 413 before being read, so one misbehaving client cannot
     balloon parent memory (gzip request bodies are bounded by the same
-    limit *before* full decompression).  ``gzip_responses`` /
-    ``gzip_min_bytes`` / ``gzip_level`` control response compression:
-    bodies of at least ``gzip_min_bytes`` are gzipped at ``gzip_level``
-    for clients that send ``Accept-Encoding: gzip`` (base64 float64
-    images are ~3× raw, so this is a real wire win; compressed bytes are
-    deterministic, preserving transport byte-identity).
+    limit *before* full decompression).
 
     The ``ingest_*`` knobs configure the watch-folder ingestion loop
     (:mod:`repro.serving.ingest`, the CLI's ``--watch``):
@@ -116,11 +101,6 @@ class ServingConfig:
     http_host: str = "127.0.0.1"
     http_port: int = 8765
     max_request_bytes: int = 64 * 1024 * 1024
-    gzip_responses: bool = True
-    gzip_min_bytes: int = 512
-    gzip_level: int = 6
-    engine_backend: str | None = None
-    engine_dtype: str | None = None
     ingest_poll_interval_s: float = 0.25
     ingest_stable_polls: int = 2
     ingest_max_in_flight: int = 16
@@ -181,26 +161,6 @@ class ServingConfig:
             raise ValueError(
                 "max_request_bytes must be >= 1024 (one image envelope "
                 f"never fits below that), got {self.max_request_bytes}"
-            )
-        if self.gzip_min_bytes < 0:
-            raise ValueError(
-                f"gzip_min_bytes must be >= 0, got {self.gzip_min_bytes}"
-            )
-        if not 1 <= self.gzip_level <= 9:
-            raise ValueError(
-                f"gzip_level must be in [1, 9], got {self.gzip_level}"
-            )
-        if self.engine_backend is not None and (
-            not isinstance(self.engine_backend, str) or not self.engine_backend
-        ):
-            raise ValueError(
-                "engine_backend must be None or a backend name, "
-                f"got {self.engine_backend!r}"
-            )
-        if self.engine_dtype is not None and self.engine_dtype not in WORKING_DTYPES:
-            raise ValueError(
-                f"engine_dtype must be None or one of {WORKING_DTYPES}, "
-                f"got {self.engine_dtype!r}"
             )
         if self.ingest_poll_interval_s <= 0:
             raise ValueError(
@@ -290,16 +250,10 @@ class InspectorGadgetConfig:
     always just a recompute, never an error).  ``None`` keeps the store
     unbounded.
 
-    ``engine_backend`` / ``engine_dtype`` select the match engine's array
-    backend and working precision (:mod:`repro.imaging.backend`).  The
-    defaults — numpy, float64 — are the byte-identical reference; other
-    combinations trade FFT round-off (float32 stays within the ~1e-4
-    equivalence lane) for throughput, and feature-stage fingerprints
-    include them whenever they differ from the defaults.
-    ``engine_autotune`` lets ``warmup()`` time FFT padding policies and
-    row-chunk sizes per image shape and record the winners in the profile;
-    serving workers then *replay* the recorded decisions, so tuning never
-    breaks cross-worker byte-identity.
+    The pipeline always matches on the reference engine plan (numpy
+    transforms in float64, :mod:`repro.imaging.backend`); the float32 and
+    torch lanes are reached through :class:`repro.imaging.engine.MatchEngine`
+    and :class:`repro.features.generator.FeatureGenerator` directly.
     """
 
     workflow: WorkflowConfig = field(default_factory=WorkflowConfig)
@@ -315,23 +269,10 @@ class InspectorGadgetConfig:
     cache_dir: str | None = None
     cache_max_bytes: int | None = None
     predict_batch_size: int = 64
-    engine_backend: str = "numpy"
-    engine_dtype: str = "float64"
-    engine_autotune: bool = False
 
     def __post_init__(self) -> None:
         if self.n_jobs != -1 and self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1 or -1")
-        if not isinstance(self.engine_backend, str) or not self.engine_backend:
-            raise ValueError(
-                f"engine_backend must be a backend name, "
-                f"got {self.engine_backend!r}"
-            )
-        if self.engine_dtype not in WORKING_DTYPES:
-            raise ValueError(
-                f"engine_dtype must be one of {WORKING_DTYPES}, "
-                f"got {self.engine_dtype!r}"
-            )
         if self.tune_max_layers < 1:
             raise ValueError("tune_max_layers must be >= 1")
         if self.labeler_max_iter < 1:

@@ -17,7 +17,7 @@ original's — the train-once/serve-many split of the serving path.
 from __future__ import annotations
 
 import pickle
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,6 @@ from repro.core.stages import (
 from repro.crowd.workflow import CrowdResult
 from repro.datasets.base import Dataset
 from repro.features.generator import FeatureGenerator
-from repro.imaging.autotune import AutotuneRecord
 from repro.labeler.mlp import MLPLabeler
 from repro.labeler.tuning import TuningResult
 from repro.labeler.weak_labels import WeakLabels
@@ -56,6 +55,9 @@ __all__ = [
 
 # Bumped when the save() payload layout changes incompatibly.
 _SAVE_FORMAT = 1
+# Every entry save() writes and load() reads.
+_PAYLOAD_KEYS = frozenset({"format", "config", "task", "n_classes", "matcher",
+                           "patterns", "labeler", "tuning", "report"})
 # Leading bytes of every profile file, checked by load() before unpickling
 # so arbitrary files are rejected without executing their pickle stream.
 _MAGIC = b"repro-ig-profile\x00"
@@ -82,7 +84,8 @@ class ProfileCorruptError(ProfileError):
 
 
 class ProfileVersionError(ProfileError):
-    """The profile was written by an incompatible save-format version."""
+    """The profile was written by an incompatible save-format version, or
+    under an engine plan other than the numpy/float64 reference."""
 
 
 @dataclass
@@ -188,9 +191,6 @@ class InspectorGadget:
         # and RNG-free, and the engine holds no fitted state of its own.
         self.feature_generator = FeatureGenerator(
             patterns, self.config.matcher, n_jobs=self.config.n_jobs,
-            backend=self.config.engine_backend,
-            dtype=self.config.engine_dtype,
-            autotune=self.config.engine_autotune,
         )
         self.last_report = FitReport(
             dev_size=len(crowd.dev),
@@ -251,57 +251,11 @@ class InspectorGadget:
         what makes fanning requests out across threads or processes safe.
         Plans for shapes not warmed here are still built (and cached) on
         first use.  Returns the number of distinct shapes now cached.
-
-        With ``config.engine_autotune`` set, this is also where plan-time
-        autotuning happens: each shape's FFT-policy and row-chunk candidates
-        are timed once and the winning decision recorded on the engine's
-        :class:`repro.imaging.autotune.AutotuneRecord`, which ``save()``
-        persists so serving workers replay it instead of re-timing.
         """
         self._require_fitted()
         for shape in image_shapes:
             self.feature_generator.warm(shape)
         return self.feature_generator.engine.cached_plan_count()
-
-    def engine_info(self) -> dict:
-        """The match engine's active backend, working dtype and autotune
-        decisions — JSON-safe, for profile summaries and ``GET /profile``."""
-        self._require_fitted()
-        engine = self.feature_generator.engine
-        record = engine.autotune_record
-        return {
-            "backend": engine.backend.name,
-            "dtype": engine.dtype,
-            "autotune": record.to_payload() if record else None,
-        }
-
-    def reconfigure_engine(self, backend: str | None = None,
-                           dtype: str | None = None) -> None:
-        """Rebuild the match engine under a different backend/working dtype.
-
-        The serve-time override behind ``ServingConfig.engine_backend`` /
-        ``engine_dtype``: patterns, matcher, ``n_jobs`` and the autotune
-        record all carry over, only the transform route changes.  ``None``
-        keeps the current value.  Scores move by FFT round-off only (the
-        per-dtype tolerance lanes); determinism still holds within the new
-        (backend, dtype) combination.
-        """
-        self._require_fitted()
-        if backend is None and dtype is None:
-            return
-        fg = self.feature_generator
-        engine = fg.engine
-        self.feature_generator = FeatureGenerator(
-            fg.patterns,
-            fg.matcher,
-            strategy=fg.strategy,
-            n_jobs=engine.n_jobs,
-            cache_plans=engine.cache_plans,
-            backend=backend if backend is not None else engine.backend.name,
-            dtype=dtype if dtype is not None else engine.dtype,
-            autotune=False,
-            autotune_record=engine.autotune_record,
-        )
 
     # -- persistence ---------------------------------------------------------
 
@@ -329,13 +283,6 @@ class InspectorGadget:
             "tuning": None if self.tuning is None else self.tuning.to_payload(),
             "report": None if self.last_report is None
                       else asdict(self.last_report),
-            # Plan-time autotune decisions (None when never tuned): workers
-            # replay these after load() instead of re-timing, so every
-            # process of a deployment executes one identical plan.
-            "autotune": (
-                self.feature_generator.engine.autotune_record.to_payload()
-                if self.feature_generator.engine.autotune_record else None
-            ),
         }
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -364,8 +311,9 @@ class InspectorGadget:
         :class:`ProfileFormatError` (not a profile at all — check the
         path), :class:`ProfileCorruptError` (truncated or damaged payload
         — re-run ``save``), :class:`ProfileVersionError` (written by an
-        incompatible version — re-save with this code or load with the
-        version that wrote it).
+        incompatible version, or under an engine plan other than the
+        numpy/float64 reference — re-fit and save with this code, or load
+        with the version that wrote it).
 
         The training run's ``cache_dir`` is not reattached (a profile may
         be served on a host where that path means nothing); pass a config
@@ -399,18 +347,9 @@ class InspectorGadget:
                 "profile with this version or load it with the one that "
                 "wrote it"
             )
+        _check_reference_plan(path, payload)
         try:
-            config = payload["config"]
-            # Profiles saved before the engine-backend fields existed
-            # restore a config __dict__ without them; heal with the
-            # defaults (which reproduce the old behavior exactly) so
-            # replace() below sees every field.
-            for name, default in (("engine_backend", "numpy"),
-                                  ("engine_dtype", "float64"),
-                                  ("engine_autotune", False)):
-                if not hasattr(config, name):
-                    setattr(config, name, default)
-            ig = cls(replace(config, cache_dir=None))
+            ig = cls(replace(payload["config"], cache_dir=None))
             ig._task = payload["task"]
             ig._n_classes = payload["n_classes"]
             patterns = [
@@ -419,15 +358,8 @@ class InspectorGadget:
                         source_image=entry["source_image"])
                 for entry in payload["patterns"]
             ]
-            # Decisions replay (autotune=False): a loaded profile never
-            # re-times, so all workers loading it share one plan.
             ig.feature_generator = FeatureGenerator(
                 patterns, payload["matcher"], n_jobs=ig.config.n_jobs,
-                backend=ig.config.engine_backend,
-                dtype=ig.config.engine_dtype,
-                autotune_record=AutotuneRecord.from_payload(
-                    payload.get("autotune")
-                ),
             )
             ig.labeler = MLPLabeler.from_payload(payload["labeler"])
             if payload["tuning"] is not None:
@@ -451,23 +383,52 @@ class InspectorGadget:
         """Content fingerprint of the serving state (patterns + labeler).
 
         Two pipelines with equal fingerprints produce byte-identical
-        predictions; useful for cache keys and deployment audits.  The
-        engine backend, working dtype and autotune decisions enter the
-        fingerprint only when they differ from the defaults, so
-        fingerprints of historical profiles are unchanged — but any
-        combination that can move scores (a different dtype, a tuned FFT
-        policy) names itself.
+        predictions; useful for cache keys and deployment audits.  Every
+        profile runs the same numpy/float64 engine plan, so the plan is no
+        input (:meth:`load` refuses a profile saved under any other).
         """
         self._require_fitted()
-        key = [
+        return fingerprint((
             "serving",
             self.feature_generator.matcher,
             [p.array for p in self.feature_generator.patterns],
             self.labeler.to_payload(),
-        ]
-        info = self.engine_info()
-        if (info["backend"], info["dtype"]) != ("numpy", "float64") \
-                or info["autotune"]:
-            key.append(("engine", info["backend"], info["dtype"],
-                        info["autotune"]))
-        return fingerprint(tuple(key))
+        ))
+
+
+def _check_reference_plan(path, payload: dict) -> None:
+    """Refuse a profile saved with engine state this version cannot apply.
+
+    Earlier versions could record plan-time FFT tuning decisions in the
+    payload, and an engine backend and working dtype in the config.  Each
+    moved scores and entered the serving fingerprint, so serving such a
+    profile on this version's numpy/float64 plan would answer different
+    bytes under a different fingerprint.  So every payload entry that
+    :meth:`InspectorGadget.load` does not read must be ``None``, and every
+    attribute of the pickled config that :class:`InspectorGadgetConfig` no
+    longer declares must name the reference plan.  A default profile
+    passes unchanged.
+    """
+    declared = {f.name for f in fields(InspectorGadgetConfig)}
+    stale = [key for key, value in payload.items()
+             if key not in _PAYLOAD_KEYS and value is not None]
+    saved_config = getattr(payload.get("config"), "__dict__", {})
+    stale += [f"config.{name}={value!r}"
+              for name, value in saved_config.items()
+              if name not in declared and not _names_reference_plan(value)]
+    if stale:
+        raise ProfileVersionError(
+            f"{path} was saved with engine state this version does not "
+            f"apply ({', '.join(sorted(stale))}); this version serves only "
+            "the numpy/float64 reference plan — re-fit and save the "
+            "profile with this version, or load it with the version that "
+            "wrote it"
+        )
+
+
+def _names_reference_plan(value) -> bool:
+    """How an earlier config spelled the reference plan: the numpy backend,
+    float64, tuning off."""
+    return value is None or value is False or (
+        isinstance(value, str) and value in ("numpy", "float64")
+    )

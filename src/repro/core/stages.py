@@ -163,12 +163,6 @@ class FeatureStage(Stage):
     provides = ("dev_features",)
 
     def config_key(self, config: InspectorGadgetConfig):
-        # The engine backend/dtype move feature values by FFT round-off, so
-        # they must enter the fingerprint — but only when non-default, so
-        # every artifact fingerprinted before the backend seam existed
-        # (always numpy/float64) stays addressable.
-        if (config.engine_backend, config.engine_dtype) != ("numpy", "float64"):
-            return (config.matcher, config.engine_backend, config.engine_dtype)
         return (config.matcher,)
 
     def run(self, ctx: PipelineContext) -> dict[str, object]:
@@ -176,8 +170,6 @@ class FeatureStage(Stage):
         generator = FeatureGenerator(
             ctx.require("patterns"), ctx.config.matcher,
             n_jobs=ctx.config.n_jobs,
-            backend=ctx.config.engine_backend,
-            dtype=ctx.config.engine_dtype,
         )
         return {"dev_features": generator.transform(crowd.dev)}
 

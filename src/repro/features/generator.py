@@ -77,10 +77,10 @@ class FeatureGenerator:
     selects the batched match engine (default) or the naive per-call loop;
     ``n_jobs`` enables thread parallelism over images in the batched path.
 
-    ``backend``/``dtype``/``autotune``/``autotune_record`` configure the
-    batched engine's transform backend, working precision and plan-time
-    autotuning (see :class:`MatchEngine`); the naive strategy ignores them —
-    it *is* the float64 reference the tolerance tiers are measured against.
+    ``backend``/``dtype`` configure the batched engine's transform backend
+    and working precision (see :class:`MatchEngine`); the naive strategy
+    ignores them — it *is* the float64 reference the tolerance tiers are
+    measured against.
     """
 
     def __init__(
@@ -92,8 +92,6 @@ class FeatureGenerator:
         cache_plans: bool = False,
         backend: str = "numpy",
         dtype: str = "float64",
-        autotune: bool = False,
-        autotune_record=None,
     ):
         if not patterns:
             raise ValueError("FeatureGenerator needs at least one pattern")
@@ -105,9 +103,7 @@ class FeatureGenerator:
         self.strategy = strategy
         self.engine = MatchEngine(self.matcher, n_jobs=n_jobs,
                                   cache_plans=cache_plans,
-                                  backend=backend, dtype=dtype,
-                                  autotune=autotune,
-                                  autotune_record=autotune_record)
+                                  backend=backend, dtype=dtype)
         self.fgfs = [FeatureGenerationFunction(p, self.matcher) for p in patterns]
         self.patterns = patterns
 
@@ -118,8 +114,7 @@ class FeatureGenerator:
         After warming, the pattern set must be treated as read-only (the
         engine freezes the pattern arrays to enforce it).  Returns the
         engine's summary of the pinned plan (exact/coarse column counts,
-        refinement buffer count, active backend/dtype, and the autotune
-        decision for the shape) for warmup logging.
+        refinement buffer count, active backend/dtype) for warmup logging.
         """
         return self.engine.warm(image_shape, [p.array for p in self.patterns])
 

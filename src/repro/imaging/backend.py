@@ -14,11 +14,13 @@ Contract, pinned by ``tests/test_match_engine.py``:
 * **The numpy backend is the reference.**  At ``dtype="float64"`` its
   methods are the exact scipy calls the engine made before the seam
   existed, so the default configuration is byte-identical to history.
-* **Determinism is per-(backend, dtype).**  Within one combination, output
-  is byte-identical across ``n_jobs`` and serving workers (shared state is
-  still built pre-dispatch and frozen).  *Across* backends or dtypes only
-  tolerance-tiered agreement holds: ~1e-6 for float64, ~1e-4 for float32,
-  against the naive per-call reference.
+* **Determinism is per-(backend, dtype).**  Within one combination, a
+  :class:`~repro.imaging.engine.MatchEngine`'s output is byte-identical
+  across ``n_jobs`` (shared state is still built pre-dispatch and
+  frozen).  *Across* backends or dtypes only tolerance-tiered agreement
+  holds: ~1e-6 for float64, ~1e-4 for float32, against the naive
+  per-call reference.  The pipeline, its profiles and the serving paths
+  always run the numpy/float64 reference.
 * **Statistics stay float64 on the host.**  Only the transforms run at the
   working dtype; integral-image window sums/energies, kernel energies, and
   the flat-window threshold (:data:`repro.imaging.ncc._ENERGY_EPS`) always
@@ -53,7 +55,7 @@ __all__ = [
     "register_backend",
 ]
 
-# Working precisions the engine accepts; validated here and in the configs.
+# Working precisions the engine accepts.
 WORKING_DTYPES = ("float64", "float32")
 
 

@@ -37,22 +37,17 @@ computes the same similarity matrix with the redundant work hoisted out:
   shared state is computed *before* dispatch and read-only afterwards, and
   every worker writes disjoint rows of a preallocated matrix, so output is
   deterministic and byte-identical to ``n_jobs=1``.
-* **Pluggable transforms, tunable plans.**  The FFTs (and only the FFTs)
-  run through an :class:`repro.imaging.backend.ArrayBackend` at an opt-in
-  working ``dtype`` — numpy/float64 is the byte-identical reference;
-  float32 halves transform bandwidth; torch uses the host's array
-  library when present.  Window statistics, kernel energies and the
-  flat-window threshold always stay float64 on the host (see
+* **Pluggable transforms.**  The FFTs (and only the FFTs) run through an
+  :class:`repro.imaging.backend.ArrayBackend` at an opt-in working
+  ``dtype`` — numpy/float64 is the byte-identical reference (and the only
+  plan the pipeline, its profiles and the serving paths run); float32
+  halves transform bandwidth; torch uses the host's array library when
+  present.  Window statistics, kernel energies and the flat-window
+  threshold always stay float64 on the host (see
   :mod:`repro.imaging.backend`), and the output matrix is always float64
-  numpy.  ``autotune=True`` additionally times candidate FFT padding
-  policies and row-chunk sizes during :meth:`MatchEngine.warm` and records
-  the winner per image shape in an
-  :class:`repro.imaging.autotune.AutotuneRecord`; a record passed back in
-  (the serving path) is *replayed*, never re-timed, so every worker of a
-  deployment executes one identical plan.  Determinism is therefore
-  per-(backend, dtype): byte-identical across ``n_jobs`` and workers within
-  a combination, tolerance-tiered (float64 ~1e-6, float32 ~1e-4 vs the
-  naive reference) across them.
+  numpy.  Determinism is per-(backend, dtype): byte-identical across
+  ``n_jobs`` within a combination, tolerance-tiered (float64 ~1e-6,
+  float32 ~1e-4 vs the naive reference) across them.
 
 Caching invariants: cached spectra/tables are keyed by value-derived shapes
 only and are never mutated after creation; by default the engine holds no
@@ -92,8 +87,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.imaging.autotune import AutotuneRecord, pad_length, probe_image, time_fft_shape
-from repro.imaging.autotune import FFT_POLICIES
 from repro.imaging.backend import ArrayBackend, check_dtype, get_backend
 from repro.imaging.ncc import match_windows
 from repro.imaging.ops import as_image, downsample, fit_pattern_to_image
@@ -107,11 +100,6 @@ from repro.imaging.pyramid import (
 
 __all__ = ["MatchEngine"]
 
-# Row-chunk sizes the autotuner times (None = one un-chunked slice, the
-# untuned behavior) and how many synthetic images each candidate scores.
-_BATCH_CANDIDATES = (None, 4, 16)
-_BATCH_PROBES = 8
-
 
 @dataclass
 class _PatternSet:
@@ -122,9 +110,8 @@ class _PatternSet:
     for ``zero_mean``, mean-centred) kernels at the shared padded FFT shape
     ``fshape`` — backend-native arrays at the working ``dtype``; ``energies``
     are the matching kernel energies, always float64 (statistics never
-    follow the working dtype).  ``fshape`` is chosen by ``fft_policy`` (see
-    :mod:`repro.imaging.autotune`); any policy is equivalence-preserving
-    because every candidate covers the linear-convolution length.
+    follow the working dtype).  ``fshape`` is the backend's
+    ``next_fast_len`` of the linear-convolution length per axis.
     Everything is computed once and treated as read-only afterwards.
     """
 
@@ -146,7 +133,6 @@ class _PatternSet:
         zero_mean: bool,
         backend: ArrayBackend | None = None,
         dtype: str = "float64",
-        fft_policy: str = "next_fast",
     ) -> _PatternSet:
         backend = backend or get_backend("numpy")
         ih, iw = image_shape
@@ -154,8 +140,8 @@ class _PatternSet:
         h_max = max(a.shape[0] for a in arrays)
         w_max = max(a.shape[1] for a in arrays)
         fshape = (
-            pad_length(fft_policy, ih + h_max - 1, backend),
-            pad_length(fft_policy, iw + w_max - 1, backend),
+            backend.next_fast_len(ih + h_max - 1),
+            backend.next_fast_len(iw + w_max - 1),
         )
         kernels = [a - a.mean() if zero_mean else a for a in arrays]
         spectra = [
@@ -252,9 +238,7 @@ class _RefineSpec:
     mean-centred) kernel spectrum at that shape and the kernel energy are
     computed once at plan time — serving workers pin them at warmup — so the
     execute phase pays only the window transforms.  ``spectrum`` is
-    backend-native at the engine's working dtype (``energy`` stays float64);
-    refinement fshapes are small, so they always use the ``next_fast``
-    policy rather than the autotuned one.
+    backend-native at the engine's working dtype (``energy`` stays float64).
     """
 
     fshape: tuple[int, int]
@@ -327,15 +311,11 @@ class MatchEngine:
     ``backend``/``dtype`` select the transform backend and working
     precision (see :mod:`repro.imaging.backend`); the default
     ``("numpy", "float64")`` is byte-identical to the pre-backend engine.
-    ``autotune=True`` lets :meth:`warm` time FFT padding policies and
-    row-chunk sizes for each warmed shape; ``autotune_record`` passes in
-    decisions to *replay* (the serving path — workers never re-time).
     """
 
     def __init__(self, matcher: PyramidMatcher | None = None, n_jobs: int = 1,
                  cache_plans: bool = False, *, backend: str | ArrayBackend = "numpy",
-                 dtype: str = "float64", autotune: bool = False,
-                 autotune_record: AutotuneRecord | None = None):
+                 dtype: str = "float64"):
         self.matcher = matcher or PyramidMatcher()
         # The same validator pyramid_match applies per call, surfaced at
         # construction so the batched and naive paths reject the same setups
@@ -349,10 +329,6 @@ class MatchEngine:
         self.cache_plans = bool(cache_plans)
         self.backend = get_backend(backend)
         self.dtype = check_dtype(dtype)
-        self.autotune = bool(autotune)
-        self.autotune_record = (
-            autotune_record if autotune_record is not None else AutotuneRecord()
-        )
         # shape -> (pattern arrays the plan was built from, frozen plan),
         # LRU-ordered.  Bounded: a long-running serving worker fed varied
         # image shapes must not pin a frozen plan (pattern spectra + window
@@ -378,10 +354,7 @@ class MatchEngine:
         working memory bounded by the slice (plus the output matrix).  The
         per-shape matching plan is built once and reused across all slices,
         and every row is computed independently, so the output is
-        byte-identical for any ``batch_size``.  When ``batch_size`` is None
-        and the autotune record holds a ``batch_rows`` decision for a
-        shape, that tuned chunk size is used — a pure performance choice,
-        invisible in the output.
+        byte-identical for any ``batch_size``.
         """
         if not images:
             raise ValueError("no images to match")
@@ -404,12 +377,7 @@ class MatchEngine:
 
         for shape, indices in by_shape.items():
             plan = self._plan_for(shape, patterns)
-            if batch_size is None:
-                decision = self.autotune_record.decision_for(shape)
-                tuned = decision.get("batch_rows") if decision else None
-                step = int(tuned) if tuned else len(indices)
-            else:
-                step = batch_size
+            step = len(indices) if batch_size is None else batch_size
             workers = min(self.n_jobs, min(step, len(indices)))
             with ThreadPoolExecutor(max_workers=workers) if workers > 1 \
                     else nullcontext() as pool:
@@ -448,17 +416,10 @@ class MatchEngine:
         warmed shape (only shapes seen ad hoc at runtime compete for LRU
         slots).
 
-        With ``autotune=True`` and no recorded decision for this shape,
-        warming first times the FFT-policy and row-chunk candidates and
-        records the winner in :attr:`autotune_record` — the plan is then
-        built under that decision.  A shape that already has a decision
-        (a replayed serving record) is never re-timed.
-
         Returns a summary of what was pinned — ``exact``/``coarse`` column
         counts plus the per-pattern ``refine_buffers`` (pinned refinement
-        kernel spectra) — and how: the active ``backend`` name, working
-        ``dtype``, and the ``autotune`` decision for this shape (None when
-        untuned) — so callers can log what a warmed worker actually holds.
+        kernel spectra) — and how: the active ``backend`` name and working
+        ``dtype`` — so callers can log what a warmed worker actually holds.
         """
         shape = tuple(int(side) for side in image_shape)
         if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
@@ -470,97 +431,18 @@ class MatchEngine:
         if shape not in self._plan_cache:
             self.plan_cache_size = max(self.plan_cache_size,
                                        len(self._plan_cache) + 1)
-        converted = [as_image(p) for p in patterns]
-        if self.autotune and self.autotune_record.decision_for(shape) is None:
-            self._autotune_shape(shape, converted)
-        plan = self._plan_for(shape, converted)
+        plan = self._plan_for(shape, [as_image(p) for p in patterns])
         return {
             "exact": len(plan.exact_indices),
             "coarse": len(plan.coarse_indices),
             "refine_buffers": len(plan.coarse_refine),
             "backend": self.backend.name,
             "dtype": self.dtype,
-            "autotune": self.autotune_record.decision_for(shape),
         }
 
     def cached_plan_count(self) -> int:
         """How many distinct image shapes currently have a cached plan."""
         return len(self._plan_cache)
-
-    # -- autotuning ----------------------------------------------------------
-
-    def _fft_policy(self, image_shape: tuple[int, int]) -> str:
-        """The padding policy for a shape: its recorded decision, else the
-        untuned default."""
-        decision = self.autotune_record.decision_for(image_shape)
-        return decision["fft_policy"] if decision else "next_fast"
-
-    def _autotune_shape(
-        self, shape: tuple[int, int], patterns: list[np.ndarray]
-    ) -> None:
-        """Time the candidates for ``shape`` and record the winning decision.
-
-        Two measurements, both on deterministic synthetic probes (never the
-        caller's data, never a RNG): the per-image FFT mix at each policy's
-        candidate padding, then — with the winning policy's plan built —
-        full ``score_matrix`` passes at each row-chunk size.  A candidate
-        must beat the incumbent by >2% to displace it, so the untuned
-        defaults win all near-ties and tuning can only drift away from them
-        for a measured reason.
-        """
-        import time as _time
-
-        fitted = [fit_pattern_to_image(p, shape) for p in patterns]
-        h_max = max(a.shape[0] for a in fitted)
-        w_max = max(a.shape[1] for a in fitted)
-        fft_timings: dict[str, float] = {}
-        seen: dict[tuple[int, int], str] = {}
-        best_policy, best_time = "next_fast", float("inf")
-        for policy in FFT_POLICIES:
-            fshape = (
-                pad_length(policy, shape[0] + h_max - 1, self.backend),
-                pad_length(policy, shape[1] + w_max - 1, self.backend),
-            )
-            if fshape in seen:
-                # Same padded shape as an earlier policy: same cost by
-                # construction, and the earlier (preferred) name keeps it.
-                fft_timings[policy] = fft_timings[seen[fshape]]
-                continue
-            seen[fshape] = policy
-            fft_timings[policy] = time_fft_shape(
-                self.backend, self.dtype, shape, fshape
-            )
-            if fft_timings[policy] < best_time * 0.98:
-                best_policy, best_time = policy, fft_timings[policy]
-        decision = {
-            "fft_policy": best_policy,
-            "batch_rows": None,
-            "timings_ms": {
-                "fft": {p: round(t * 1e3, 4) for p, t in fft_timings.items()}
-            },
-        }
-        self.autotune_record.record(shape, decision)
-
-        # Row-chunk sizes: measured through the real scoring path with the
-        # tuned plan (built once here, reused by every candidate pass).
-        probes = [probe_image(shape, seed=i) for i in range(_BATCH_PROBES)]
-        batch_timings: dict[str, float] = {}
-        best_rows, best_bt = None, float("inf")
-        for rows in _BATCH_CANDIDATES:
-            step = len(probes) if rows is None else int(rows)
-            elapsed = float("inf")
-            for _ in range(2):
-                start = _time.perf_counter()
-                self.score_matrix(probes, patterns, batch_size=step)
-                elapsed = min(elapsed, _time.perf_counter() - start)
-            batch_timings["none" if rows is None else str(rows)] = round(
-                elapsed * 1e3, 4
-            )
-            if elapsed < best_bt * 0.98:
-                best_rows, best_bt = rows, elapsed
-        decision["batch_rows"] = best_rows
-        decision["timings_ms"]["batch"] = batch_timings
-        self.autotune_record.record(shape, decision)
 
     # -- planning ------------------------------------------------------------
 
@@ -606,7 +488,6 @@ class MatchEngine:
         else:
             plan.exact_indices = list(range(len(fitted)))
 
-        fft_policy = self._fft_policy(image_shape)
         if plan.exact_indices:
             plan.exact_set = _PatternSet.build(
                 [fitted[j] for j in plan.exact_indices],
@@ -614,7 +495,6 @@ class MatchEngine:
                 matcher.zero_mean,
                 backend=self.backend,
                 dtype=self.dtype,
-                fft_policy=fft_policy,
             )
         if plan.coarse_indices:
             factor = matcher.factor
@@ -626,7 +506,6 @@ class MatchEngine:
                 coarse_patterns, coarse_shape, matcher.zero_mean,
                 backend=self.backend,
                 dtype=self.dtype,
-                fft_policy=fft_policy,
             )
             plan.coarse_fine_arrays = [fitted[j] for j in plan.coarse_indices]
             plan.coarse_min_dist = [
@@ -760,7 +639,6 @@ class MatchEngine:
                 image.shape, matcher.zero_mean,
                 backend=self.backend,
                 dtype=self.dtype,
-                fft_policy=self._fft_policy(image.shape),
             )
             for slot, response in zip(
                 fallback_slots, _iter_responses(image, fallback_set)

@@ -178,17 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --watch: backpressure bound on files "
                              "submitted but not yet verdicted "
                              "(default: 16)")
-    parser.add_argument("--engine-backend", default=None,
-                        help="override the match engine's array backend "
-                             "(e.g. numpy, torch; requires the "
-                             "library on this host). Default: whatever "
-                             "the profile was trained with")
-    parser.add_argument("--engine-dtype", default=None,
-                        choices=("float64", "float32"),
-                        help="override the engine's working precision. "
-                             "float32 roughly halves FFT bandwidth; "
-                             "scores move within the ~1e-4 equivalence "
-                             "lane. Default: the profile's own dtype")
     parser.add_argument("--output", metavar="NPZ",
                         help="with --images: also write probs/labels to "
                              "this .npz file")
@@ -445,10 +434,6 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
             overrides["max_request_bytes"] = args.max_request_bytes
         if args.request_timeout_s is not None:
             overrides["request_timeout_s"] = args.request_timeout_s
-        if args.engine_backend is not None:
-            overrides["engine_backend"] = args.engine_backend
-        if args.engine_dtype is not None:
-            overrides["engine_dtype"] = args.engine_dtype
         if args.poll_interval_s is not None:
             overrides["ingest_poll_interval_s"] = args.poll_interval_s
         if args.max_in_flight is not None:
@@ -503,8 +488,8 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
         print(f"error: profile store failed: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # e.g. an --engine-backend naming a library this host doesn't
-        # have: a usage error (the message lists what is available).
+        # e.g. a saved config that fails validation: usage-shaped, like
+        # an unreadable profile.
         print(f"error: invalid serving option: {exc}", file=sys.stderr)
         return 2
     except ServingError as exc:

@@ -704,8 +704,8 @@ class FleetRouter:
         """Router-level ``GET /profile``: the admitted profile identity
         plus a ``fleet`` block describing membership and routing knobs.
 
-        The profile fields (fingerprint, pattern/class counts, tuning,
-        engine) come from one member — admission made them equal
+        The profile fields (fingerprint, pattern/class counts, tuning)
+        come from one member — admission made them equal
         everywhere — so a client reading ``/profile`` through the router
         learns the same identity it would from any member directly.
         """

@@ -59,15 +59,21 @@ digits, or repeated ``Content-Length`` values that differ answer 400
 before routing, with the body unread and the connection closed.  A
 connection stays open past a request that carried a body only if the
 body was read in full, so leftover bytes are never parsed as a second
-request.
+request.  An HTTP/0.9 request line (``GET /path`` with no version) is
+refused with 400 on an HTTP/1.1 status line, not answered with a bare
+body.  ``Expect: 100-continue`` is answered with ``100 Continue`` only
+when the body is about to be read, so a request refused from its head
+alone (400, 404, 405, 411, 413, or 503 while draining) gets that refusal
+as its only response.
 
 Compression: request bodies may be gzipped (``Content-Encoding: gzip``);
 they are inflated under the same ``max_request_bytes`` budget, so a gzip
 bomb is refused with 413 before full decompression.  Responses are
-gzipped for clients sending ``Accept-Encoding: gzip`` when the body
-reaches ``gzip_min_bytes`` (base64 float64 images are ~3× raw, so this is
-a real wire win); compressed bytes are deterministic (``mtime=0``), so
-transport byte-identity holds for compressed responses too.
+gzipped at :data:`GZIP_LEVEL` for clients sending ``Accept-Encoding:
+gzip`` when the body reaches :data:`GZIP_MIN_BYTES` (base64 float64 images
+are ~3× raw, so this is a real wire win); compressed bytes are
+deterministic (``mtime=0``), so transport byte-identity holds for
+compressed responses too.
 
 Threading model: ``ThreadingHTTPServer`` runs one daemon thread per
 connection; handler threads block in ``pool.predict`` while the
@@ -104,6 +110,12 @@ from repro.serving.protocol import (
 )
 
 __all__ = ["HttpFrontEnd", "serve_http"]
+
+# Negotiated response compression: a body of at least GZIP_MIN_BYTES is
+# gzipped at zlib level GZIP_LEVEL (compressing ~100 bytes costs more than
+# it saves).
+GZIP_MIN_BYTES = 512
+GZIP_LEVEL = 6
 
 # Envelope codes for the statuses the stdlib request parser refuses with.
 _PARSER_CODES = {
@@ -142,15 +154,10 @@ class HttpFrontEnd:
     """
 
     def __init__(self, pool, host: str, port: int,
-                 max_request_bytes: int, request_timeout_s: float,
-                 gzip_responses: bool = True, gzip_min_bytes: int = 512,
-                 gzip_level: int = 6):
+                 max_request_bytes: int, request_timeout_s: float):
         self.pool = pool
         self.max_request_bytes = max_request_bytes
         self.request_timeout_s = request_timeout_s
-        self.gzip_responses = gzip_responses
-        self.gzip_min_bytes = gzip_min_bytes
-        self.gzip_level = gzip_level
         self._drained = threading.Event()
         self._refusing: str | None = None
         self._lock = threading.Lock()
@@ -225,10 +232,7 @@ class HttpFrontEnd:
 
 def serve_http(pool, host: str | None = None, port: int | None = None, *,
                max_request_bytes: int | None = None,
-               request_timeout_s: float | None = None,
-               gzip_responses: bool | None = None,
-               gzip_min_bytes: int | None = None,
-               gzip_level: int | None = None) -> HttpFrontEnd:
+               request_timeout_s: float | None = None) -> HttpFrontEnd:
     """Expose ``pool`` over HTTP; returns the running :class:`HttpFrontEnd`.
 
     Args:
@@ -245,13 +249,6 @@ def serve_http(pool, host: str | None = None, port: int | None = None, *,
         request_timeout_s: per-request bound on waiting for the pool's
             response; an overrun answers 504 (default
             ``pool.config.request_timeout_s``).
-        gzip_responses: compress response bodies for clients that send
-            ``Accept-Encoding: gzip`` (default
-            ``pool.config.gzip_responses``).
-        gzip_min_bytes: smallest body worth compressing (default
-            ``pool.config.gzip_min_bytes``).
-        gzip_level: zlib compression level 1-9 (default
-            ``pool.config.gzip_level``).
 
     Returns:
         The bound front end, its accept loop already running.
@@ -268,12 +265,6 @@ def serve_http(pool, host: str | None = None, port: int | None = None, *,
                            if max_request_bytes is None else max_request_bytes),
         request_timeout_s=(config.request_timeout_s
                            if request_timeout_s is None else request_timeout_s),
-        gzip_responses=(config.gzip_responses
-                        if gzip_responses is None else gzip_responses),
-        gzip_min_bytes=(config.gzip_min_bytes
-                        if gzip_min_bytes is None else gzip_min_bytes),
-        gzip_level=(config.gzip_level
-                    if gzip_level is None else gzip_level),
     )
     debug(f"http front end listening on {front.url}")
     return front
@@ -313,7 +304,13 @@ class _Handler(BaseHTTPRequestHandler):
         A request that carries a body closes its connection unless
         :meth:`_read_body` reads that body in full.
         """
+        self._expect_continue = False
         if not super().parse_request():
+            return False
+        if self.request_version == self.default_request_version:
+            # HTTP/0.9: the stdlib would answer with a bare body.
+            self.send_error(400, "HTTP/0.9 requests are not supported; "
+                                 "send an HTTP/1.1 request line")
             return False
         self._keep_alive = not self.close_connection
         try:
@@ -348,6 +345,16 @@ class _Handler(BaseHTTPRequestHandler):
             if explain:
                 text = f"{text} ({explain})"
         self._send_error_envelope(code, slug, text, gzip_ok=False)
+
+    def handle_expect_100(self) -> bool:
+        """Defer ``100 Continue`` to :meth:`_read_body`.
+
+        The stdlib sends it from its parser, before any check has run; a
+        request refused from its head alone must get that refusal as its
+        only response.
+        """
+        self._expect_continue = True
+        return True
 
     # -- routes ---------------------------------------------------------------
 
@@ -503,7 +510,8 @@ class _Handler(BaseHTTPRequestHandler):
         Returns ``None`` after answering 411 (no Content-Length), 413
         (over ``max_request_bytes``, left unread) or 408 (stalled body);
         each closes the connection.  A body read in full restores the
-        keep-alive the client asked for.
+        keep-alive the client asked for.  A client that sent ``Expect:
+        100-continue`` is told to send the body just before it is read.
         """
         length = self._body_length
         if length is None:
@@ -523,6 +531,9 @@ class _Handler(BaseHTTPRequestHandler):
                 "(ServingConfig.max_request_bytes)",
             )
             return None
+        if self._expect_continue:
+            self.send_response_only(HTTPStatus.CONTINUE)
+            self.end_headers()
         try:
             raw = self.rfile.read(length)
         except TimeoutError:
@@ -553,10 +564,9 @@ class _Handler(BaseHTTPRequestHandler):
                    gzip_ok: bool = True) -> None:
         body = json.dumps(payload).encode("utf-8")
         encoding = None
-        if (gzip_ok and self.front.gzip_responses
-                and len(body) >= self.front.gzip_min_bytes
+        if (gzip_ok and len(body) >= GZIP_MIN_BYTES
                 and accepts_gzip(self.headers.get("Accept-Encoding"))):
-            body = gzip_body(body, level=self.front.gzip_level)
+            body = gzip_body(body, level=GZIP_LEVEL)
             encoding = "gzip"
         self.send_response(status)
         self.send_header("Content-Type", "application/json")

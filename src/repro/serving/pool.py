@@ -135,12 +135,6 @@ class ServingPool:
         # assembled request), and a bad profile fails construction with a
         # ProfileError before any process is spawned.
         self._pipeline = InspectorGadget.load(self.profile_path)
-        # Serve-time engine overrides apply in the parent first: an absent
-        # backend fails construction here (clear ValueError) before any
-        # worker is spawned, and the parent's engine_info/fingerprint stay
-        # consistent with what the workers will actually run.
-        self._pipeline.reconfigure_engine(self.config.engine_backend,
-                                          self.config.engine_dtype)
         self._n_patterns = len(self._pipeline.feature_generator.patterns)
         self._ctx = mp.get_context(self.config.start_method)
         self._lock = threading.RLock()
@@ -283,10 +277,8 @@ class ServingPool:
 
         What ``GET /profile`` serves: the ``serving_fingerprint()``, the
         profile's provenance (pattern count, class count, the labeler
-        architecture search summary when the profile was tuned), the match
-        engine's active backend/dtype and replayed autotune decisions
-        (``engine``), and the dispatch knobs that shape latency without
-        ever shaping answers.  When a watch-folder controller is attached,
+        architecture search summary when the profile was tuned), and the
+        dispatch knobs that shape latency without ever shaping answers.  When a watch-folder controller is attached,
         an ``ingest`` key describes its static wiring (watch dir, sinks,
         ledger, knobs); live counters live on ``/healthz`` instead.
         """
@@ -304,7 +296,6 @@ class ServingPool:
             "n_patterns": self._n_patterns,
             "n_classes": pipeline.labeler.n_classes,
             "tuning": tuning,
-            "engine": pipeline.engine_info(),
             "pool": {
                 "workers": self.config.workers,
                 "max_batch": self.config.max_batch,
@@ -393,8 +384,7 @@ class ServingPool:
         process = self._ctx.Process(
             target=worker_main,
             args=(worker_id, self.profile_path, self.config.warmup_shapes,
-                  task_queue, result_queue,
-                  self.config.engine_backend, self.config.engine_dtype),
+                  task_queue, result_queue),
             name=f"serving-worker-{worker_id}",
             daemon=True,
         )

@@ -44,16 +44,11 @@ def worker_main(
     warmup_shapes: tuple[tuple[int, int], ...],
     task_queue,
     result_queue,
-    engine_backend: str | None = None,
-    engine_dtype: str | None = None,
 ) -> None:
     """Process entry point; see the module docstring for the protocol.
 
-    ``engine_backend``/``engine_dtype`` are the pool's serve-time engine
-    overrides (``ServingConfig``); ``None`` keeps the profile's own
-    configuration.  The profile's recorded autotune decisions are replayed
-    during warmup either way — workers never re-time, so every worker of a
-    pool executes one identical plan.
+    Every worker runs the profile's one engine plan (numpy transforms in
+    float64), so every worker of a pool answers the same bytes.
     """
     pid = os.getpid()
     try:
@@ -63,14 +58,12 @@ def worker_main(
         from repro.serving.dispatcher import _DEBUG, debug
 
         pipeline = InspectorGadget.load(profile_path)
-        pipeline.reconfigure_engine(engine_backend, engine_dtype)
         for shape in warmup_shapes:
             pinned = pipeline.feature_generator.warm(shape)
             debug(f"worker {worker_id} warmed {tuple(shape)}: "
                   f"{pinned['exact']} exact + {pinned['coarse']} coarse "
                   f"columns, {pinned['refine_buffers']} refinement buffers "
-                  f"pinned ({pinned['backend']}/{pinned['dtype']}, "
-                  f"autotune={'replayed' if pinned['autotune'] else 'off'})")
+                  "pinned")
         # Even with no warmup shapes, serving wants plans cached: the same
         # image shape arrives request after request.
         pipeline.feature_generator.engine.cache_plans = True

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.features import FeatureGenerator
-from repro.imaging.autotune import FFT_POLICIES, AutotuneRecord
 from repro.imaging.backend import available_backends, get_backend
 from repro.imaging.engine import MatchEngine
 from repro.imaging.pyramid import PyramidMatcher, pyramid_match
@@ -381,100 +380,3 @@ class TestBackendDtypeMatrix:
     def test_backend_instances_pass_through(self):
         backend = get_backend("numpy")
         assert get_backend(backend) is backend
-
-
-class TestAutotune:
-    """Plan-time tuning: decisions recorded at warm, replayed thereafter."""
-
-    def test_warm_records_decision_and_stays_accurate(self, rng):
-        images = [rng.random((48, 48)) for _ in range(4)]
-        kernels = [rng.random((12, 12)), rng.random((10, 14))]
-        baseline = MatchEngine().score_matrix(images, kernels)
-        engine = MatchEngine(autotune=True)
-        summary = engine.warm((48, 48), kernels)
-        decision = engine.autotune_record.decision_for((48, 48))
-        assert summary["autotune"] == decision
-        assert summary["backend"] == "numpy"
-        assert summary["dtype"] == "float64"
-        assert decision["fft_policy"] in FFT_POLICIES
-        assert set(decision["timings_ms"]["fft"]) == set(FFT_POLICIES)
-        assert "batch" in decision["timings_ms"]
-        # Whatever padding the tuner picked only moves FFT round-off.
-        tuned = engine.score_matrix(images, kernels)
-        np.testing.assert_allclose(tuned, baseline, rtol=0, atol=TOL)
-
-    def test_warm_without_autotune_records_nothing(self, rng):
-        engine = MatchEngine()
-        summary = engine.warm((32, 32), [rng.random((8, 8))])
-        assert summary["autotune"] is None
-        assert not engine.autotune_record
-
-    def test_replayed_record_byte_identical_across_n_jobs(self, rng):
-        """Workers replay the tuner's record instead of re-timing, so every
-        parallelism level executes one identical plan."""
-        images = [rng.random((40, 40)) for _ in range(6)]
-        kernels = [rng.random((12, 12)), rng.random((9, 13))]
-        tuner = MatchEngine(PyramidMatcher(enabled=False), autotune=True)
-        tuner.warm((40, 40), kernels)
-        tuned = tuner.score_matrix(images, kernels)
-        for n_jobs in (1, 2, 4):
-            replay = MatchEngine(
-                PyramidMatcher(enabled=False), n_jobs=n_jobs,
-                autotune_record=tuner.autotune_record,
-            )
-            assert replay.score_matrix(images, kernels).tobytes() \
-                == tuned.tobytes()
-
-    def test_existing_decision_never_retimed(self, rng):
-        """A replayed shape keeps its recorded decision verbatim — serving
-        workers must not drift from the parent's plan."""
-        pinned = {"fft_policy": "exact", "batch_rows": 4, "timings_ms": {}}
-        record = AutotuneRecord()
-        record.record((32, 32), dict(pinned))
-        engine = MatchEngine(autotune=True, autotune_record=record)
-        engine.warm((32, 32), [rng.random((8, 8))])
-        assert engine.autotune_record.decision_for((32, 32)) == pinned
-
-    def test_record_payload_round_trip(self):
-        record = AutotuneRecord()
-        assert not record
-        assert AutotuneRecord.from_payload(None).decisions == {}
-        record.record((48, 64), {"fft_policy": "pow2", "batch_rows": 4,
-                                 "timings_ms": {"fft": {"pow2": 1.5}}})
-        assert record
-        clone = AutotuneRecord.from_payload(record.to_payload())
-        assert clone.decisions == record.decisions
-        assert clone.decision_for((48, 64))["fft_policy"] == "pow2"
-        assert clone.decision_for((1, 1)) is None
-
-
-class TestProfileRoundTrip:
-    """Saved profiles carry the engine configuration and autotune record."""
-
-    def test_profile_round_trips_autotune_record(self, serving_profile,
-                                                 tmp_path):
-        from repro.core.pipeline import InspectorGadget
-
-        ig = InspectorGadget.load(serving_profile)
-        engine = ig.feature_generator.engine
-        engine.autotune = True
-        ig.warmup([(32, 32)])
-        record = engine.autotune_record
-        assert record.decision_for((32, 32)) is not None
-
-        loaded = InspectorGadget.load(ig.save(tmp_path / "tuned.igz"))
-        loaded_engine = loaded.feature_generator.engine
-        # Loaded profiles replay, never re-time: same decisions, tuning off.
-        assert not loaded_engine.autotune
-        assert loaded_engine.autotune_record.decisions == record.decisions
-        info = loaded.engine_info()
-        assert info["backend"] == "numpy"
-        assert info["dtype"] == "float64"
-        assert info["autotune"] == record.to_payload()
-
-    def test_engine_info_before_tuning(self, serving_profile):
-        from repro.core.pipeline import InspectorGadget
-
-        info = InspectorGadget.load(serving_profile).engine_info()
-        assert info == {"backend": "numpy", "dtype": "float64",
-                        "autotune": None}

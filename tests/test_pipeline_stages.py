@@ -406,6 +406,77 @@ class TestSaveLoad:
         InspectorGadget.load(path)
 
 
+def _resave(source, target, edit):
+    """Rewrite the profile at ``source`` into ``target`` after ``edit``
+    mutates its unpickled payload in place."""
+    raw = source.read_bytes()
+    payload = pickle.loads(raw[len(_MAGIC):])
+    edit(payload)
+    target.write_bytes(_MAGIC + pickle.dumps(payload))
+    return target
+
+
+def _earlier_default(payload):
+    """The untuned numpy/float64 entries an earlier version saved with
+    every default profile."""
+    payload["autotune"] = None
+    vars(payload["config"]).update(engine_backend="numpy",
+                                   engine_dtype="float64",
+                                   engine_autotune=False)
+
+
+def _earlier_tuned(payload):
+    """An earlier version's profile after plan-time FFT tuning."""
+    _earlier_default(payload)
+    vars(payload["config"])["engine_autotune"] = True
+    payload["autotune"] = [[[50, 126], {
+        "fft_policy": "pow2", "batch_rows": 4, "timings_ms": {}}]]
+
+
+class TestEnginePlanProfiles:
+    """Every profile runs the numpy/float64 reference plan.  A profile
+    saved with tuning decisions or another backend or dtype would give
+    other bytes under another fingerprint, so ``load`` refuses it; a
+    default profile from an earlier version loads unchanged."""
+
+    def test_earlier_default_profile_loads_unchanged(self, serving_profile,
+                                                     tiny_ksdd, tmp_path):
+        older = _resave(serving_profile, tmp_path / "older.igz",
+                        _earlier_default)
+        images = [item.image for item in tiny_ksdd.images[:6]]
+        current = InspectorGadget.load(serving_profile)
+        loaded = InspectorGadget.load(older)
+        assert loaded.serving_fingerprint() \
+            == current.serving_fingerprint()
+        assert loaded.predict(images).probs.tobytes() \
+            == current.predict(images).probs.tobytes()
+
+    def test_tuned_profile_is_refused(self, serving_profile, tmp_path):
+        target = _resave(serving_profile, tmp_path / "tuned.igz",
+                         _earlier_tuned)
+        with pytest.raises(ProfileVersionError, match="autotune"):
+            InspectorGadget.load(target)
+
+    def test_float32_profile_is_refused(self, serving_profile, tmp_path):
+        def float32(payload):
+            _earlier_default(payload)
+            vars(payload["config"])["engine_dtype"] = "float32"
+
+        target = _resave(serving_profile, tmp_path / "f32.igz", float32)
+        with pytest.raises(ProfileVersionError, match="'float32'"):
+            InspectorGadget.load(target)
+
+    def test_cli_exits_2_on_a_refused_profile(self, serving_profile,
+                                              tmp_path, capsys):
+        from repro.serving.cli import main as cli_main
+
+        target = _resave(serving_profile, tmp_path / "tuned.igz",
+                         _earlier_tuned)
+        assert cli_main(["--profile", str(target), "--workers", "1",
+                         "--images", "x.npy"]) == 2
+        assert "reference plan" in capsys.readouterr().err
+
+
 class TestServingPath:
     def test_batched_predict_is_byte_identical(self, tiny_ksdd):
         ig = InspectorGadget(_fast_config(seed=5))

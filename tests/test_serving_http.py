@@ -16,7 +16,9 @@ Four contracts layered over the pool's own guarantees:
    stdin-JSONL daemon (one validator: ``repro.serving.protocol``).
 3. **Framing** — a request whose body length is ambiguous (RFC 9112
    §6.3) gets exactly one 400 and a closed connection, so no byte of it
-   is ever served as a second request; keep-alive holds otherwise.
+   is ever served as a second request; keep-alive holds otherwise.  An
+   HTTP/0.9 request line gets a 400 on an HTTP/1.1 status line, and
+   ``100 Continue`` goes out only for a body that will be read.
 4. **Drain semantics** — ``POST /admin/drain`` completes every in-flight
    request (byte-identically) before reporting drained, refuses new label
    requests with 503, and keeps observability endpoints alive.
@@ -540,6 +542,10 @@ class TestParserRefusals:
          b"GET /profile HTTP/1.1\r\n"
          + b"".join(b"X-Probe-%d: y\r\n" % i for i in range(101))
          + b"\r\n", 431, "header_fields_too_large", "100 headers"),
+        ("http09_request_line", b"GET /profile\r\n\r\n",
+         400, "bad_request", "HTTP/0.9"),
+        ("http09_version", b"GET /profile HTTP/0.9\r\n\r\n",
+         400, "bad_request", "HTTP/0.9"),
     ]
 
     @pytest.mark.parametrize("name,raw,status,code,message", CASES,
@@ -557,6 +563,69 @@ class TestParserRefusals:
         assert payload["error"]["code"] == code
         assert payload["error"]["status"] == status
         assert message in payload["error"]["message"]
+
+
+_EXPECT = b"Expect: 100-continue\r\n"
+
+
+class TestExpectContinue:
+    """``100 Continue`` goes out only when the body is about to be read,
+    so a request refused from its head alone gets that refusal as its
+    only response."""
+
+    REFUSED = [
+        ("chunked",
+         b"POST /v1/label HTTP/1.1\r\nHost: x\r\n" + _EXPECT
+         + b"Transfer-Encoding: chunked\r\n\r\n", 400, "bad_request"),
+        ("over_limit",
+         b"POST /v1/label HTTP/1.1\r\nHost: x\r\n" + _EXPECT
+         + b"Content-Length: %d\r\n\r\n" % (1 << 40),
+         413, "payload_too_large"),
+        ("unknown_path",
+         b"POST /v1/nothing HTTP/1.1\r\nHost: x\r\n" + _EXPECT
+         + b"Content-Length: 2\r\n\r\n", 404, "not_found"),
+    ]
+
+    @pytest.mark.parametrize("name,raw,status,code", REFUSED,
+                             ids=[case[0] for case in REFUSED])
+    def test_refusal_is_the_only_response(self, served, name, raw, status,
+                                          code):
+        _, front = served
+        reply = raw_exchange(front, raw)
+        assert b"100 Continue" not in reply, reply[:80]
+        responses = parse_responses(reply)
+        assert len(responses) == 1
+        resp, payload = responses[0]
+        assert resp.version == 11
+        assert resp.status == status
+        assert resp.getheader("Connection") == "close"
+        assert payload["error"]["code"] == code
+
+    def test_label_request_continues_then_answers(self, served, images,
+                                                  baseline):
+        _, front = served
+        body = json.dumps({"image": encode_image(images[0])}).encode()
+        head = (b"POST /v1/label HTTP/1.1\r\nHost: x\r\n" + _EXPECT
+                + b"Connection: close\r\nContent-Type: application/json"
+                + b"\r\nContent-Length: %d\r\n\r\n" % len(body))
+        with socket.create_connection(front.address, timeout=30) as sock:
+            sock.sendall(head)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                byte = sock.recv(1)
+                assert byte, f"closed after {interim!r}"
+                interim += byte
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        responses = parse_responses(b"".join(chunks))
+        assert len(responses) == 1
+        resp, payload = responses[0]
+        assert resp.status == 200
+        assert probs_of(payload) == baseline.predict(
+            [images[0]]).probs.tobytes()
 
 
 class TestBindErrors:
@@ -823,7 +892,7 @@ class TestGzip:
     def test_gzip_response_negotiated(self, served, images, baseline):
         _, front = served
         # A 16-image batch keeps the response body safely over the
-        # gzip_min_bytes floor (tiny bodies are deliberately sent plain).
+        # GZIP_MIN_BYTES floor (tiny bodies are deliberately sent plain).
         body = json.dumps(
             {"images": [img.tolist() for img in images[:16]]}).encode()
         req = urllib.request.Request(
@@ -839,7 +908,7 @@ class TestGzip:
             images[:16]).probs.tobytes()
 
     def test_small_response_not_compressed(self, served, images):
-        """Bodies under gzip_min_bytes ship plain even when the client
+        """Bodies under GZIP_MIN_BYTES ship plain even when the client
         accepts gzip — compressing ~100 bytes costs more than it saves."""
         _, front = served
         body = json.dumps({"image": images[0].tolist()}).encode()
